@@ -92,7 +92,41 @@ func main() {
 		})
 	}
 
+	// MAC commands (ADR retargets, channel plans) ride the PULL path as
+	// RX1 downlinks through whichever gateway last heard the device.
+	// Subscribed before the bridge exists: its workers publish on this
+	// topic from their first uplink, and Subscribe must not race them.
+	// bridgeUp is closed once bridge is assigned, ordering that write
+	// before a worker's read.
 	var bridge *udpfwd.BatchBridge
+	bridgeUp := make(chan struct{})
+	srv.Commands.Subscribe(func(c netserver.Command) {
+		up, ok := seen.get(c.Dev.Addr)
+		if !ok {
+			return // never heard live; nowhere to transmit
+		}
+		raw, err := srv.BuildCommandDownlink(c.Dev, c.Cmds)
+		if err != nil {
+			log.Printf("downlink build dev=%v: %v", c.Dev.Addr, err)
+			return
+		}
+		tx := udpfwd.TXPK{
+			Tmst: up.Tmst + uint32(netserver.RX1Delay/des.Microsecond),
+			Freq: float64(up.FreqHz) / 1e6,
+			RFCh: up.RFCh,
+			Powe: 14,
+			Modu: "LORA",
+			Datr: udpfwd.DatrString(up.DR),
+			CodR: "4/5",
+			Size: len(raw),
+			Data: udpfwd.EncodeData(raw),
+		}
+		<-bridgeUp
+		if err := bridge.SendDownlink(up.EUI, tx); err != nil && *verbose {
+			log.Printf("downlink dev=%v gw=%d: %v", c.Dev.Addr, up.EUI, err)
+		}
+	})
+
 	bridge, err := udpfwd.NewBatchBridge(*listen, udpfwd.Options{
 		Workers: *workers,
 		Handler: func(up *udpfwd.UplinkFrame) {
@@ -120,35 +154,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("alphawan-server: %v", err)
 	}
+	close(bridgeUp)
 	log.Printf("alphawan-server: UDP bridge on %s, %d sessions", bridge.Addr(), *devices)
-
-	// MAC commands (ADR retargets, channel plans) ride the PULL path as
-	// RX1 downlinks through whichever gateway last heard the device.
-	srv.Commands.Subscribe(func(c netserver.Command) {
-		up, ok := seen.get(c.Dev.Addr)
-		if !ok {
-			return // never heard live; nowhere to transmit
-		}
-		raw, err := srv.BuildCommandDownlink(c.Dev, c.Cmds)
-		if err != nil {
-			log.Printf("downlink build dev=%v: %v", c.Dev.Addr, err)
-			return
-		}
-		tx := udpfwd.TXPK{
-			Tmst: up.Tmst + uint32(netserver.RX1Delay/des.Microsecond),
-			Freq: float64(up.FreqHz) / 1e6,
-			RFCh: up.RFCh,
-			Powe: 14,
-			Modu: "LORA",
-			Datr: udpfwd.DatrString(up.DR),
-			CodR: "4/5",
-			Size: len(raw),
-			Data: udpfwd.EncodeData(raw),
-		}
-		if err := bridge.SendDownlink(up.EUI, tx); err != nil && *verbose {
-			log.Printf("downlink dev=%v gw=%d: %v", c.Dev.Addr, up.EUI, err)
-		}
-	})
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

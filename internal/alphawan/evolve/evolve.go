@@ -44,15 +44,6 @@ type Options struct {
 	// Patience stops early after this many generations without
 	// improvement (0 = run all generations).
 	Patience int
-	// RescoreMaxGenes caps the diff size the incremental scoring path
-	// accepts: a child whose recorded gene diff against its first parent
-	// is no larger is scored by cloning that parent's Scorer and
-	// replaying the diff; larger (crossover-heavy) diffs take a full
-	// Evaluate, which is cheaper once a diff fans out across most
-	// gateways. 0 picks an automatic cap; negative disables incremental
-	// scoring entirely. Either path yields bit-identical costs, so this
-	// is a pure performance knob.
-	RescoreMaxGenes int
 	// ExactPolish prices the final hill-climb's candidate moves with the
 	// incremental Scorer — the real objective — instead of the legacy
 	// surrogate. It usually polishes deeper, but its decision trajectory
@@ -85,14 +76,16 @@ func DefaultOptions(seed int64) Options {
 	}
 }
 
-// SolveStats counts how candidates were scored. The path decisions are
-// made serially (before the parallel fitness fan-out), so the counters
-// are deterministic for a given seed regardless of worker count.
+// SolveStats counts how candidates were scored. The counts are taken
+// serially (before the parallel fitness fan-out), so they are
+// deterministic for a given seed regardless of worker count.
 type SolveStats struct {
 	// FullEvals counts full Evaluate calls.
 	FullEvals int
-	// Rescores counts children scored by cloning a parent Scorer and
-	// replaying the recorded gene diff.
+	// Rescores is always 0: the GA scores every child with a full
+	// Evaluate (a child's gene diff against its parent is never small
+	// enough for cp.Scorer's incremental replay to win). The field stays
+	// because the benchmark reads it.
 	Rescores int
 	// EliteCarries counts elite individuals whose known cost was carried
 	// through a generation without re-evaluation.
@@ -133,20 +126,7 @@ type solver struct {
 	opt Options
 	rng *rand.Rand
 
-	stats      SolveStats
-	rescoreMax int
-
-	// Scorer freelist: scorers of dead individuals are recycled into new
-	// children. Pops and pushes happen only on the serial path.
-	pool []*cp.Scorer
-
-	// Gene-diff recording scratch: diffBuf[slot] is reused for the child
-	// bred into that population slot each generation; seen/epoch dedup
-	// genes touched by more than one of crossover/mutate/repair.
-	diffBuf [][]cp.Gene
-	cur     []cp.Gene
-	seen    []int32
-	epoch   int32
+	stats SolveStats
 
 	// localSearch scratch, reused across the hill-climb's inner loop so
 	// link enumeration stays allocation-free.
@@ -157,71 +137,12 @@ type solver struct {
 type indiv struct {
 	a    *cp.Assignment
 	cost cp.Cost
-	// sc, when non-nil, holds this individual's flushed Scorer state,
-	// available as a rescore base for its children.
-	sc *cp.Scorer
-	// parent and diff stage an incremental scoring decision for evalAll:
-	// clone parent, replay diff. Set serially at breeding time.
-	parent *cp.Scorer
-	diff   []cp.Gene
 	// scored marks the cost as already known (carried elites), so
 	// evalAll skips the slot entirely.
 	scored bool
 }
 
-func (s *solver) getScorer() *cp.Scorer {
-	if n := len(s.pool); n > 0 {
-		sc := s.pool[n-1]
-		s.pool = s.pool[:n-1]
-		return sc
-	}
-	return cp.NewScorer(s.p)
-}
-
-// beginDiff starts recording the gene diff for the child bred into the
-// given population slot.
-func (s *solver) beginDiff(slot int) {
-	s.epoch++
-	s.cur = s.diffBuf[slot][:0]
-}
-
-func (s *solver) touchNode(i int) {
-	if s.seen[i] != s.epoch {
-		s.seen[i] = s.epoch
-		s.cur = append(s.cur, cp.NodeGene(i))
-	}
-}
-
-func (s *solver) touchGW(j int) {
-	slot := len(s.p.Nodes) + j
-	if s.seen[slot] != s.epoch {
-		s.seen[slot] = s.epoch
-		s.cur = append(s.cur, cp.GWGene(j))
-	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
 func (s *solver) run() *Result {
-	s.seen = make([]int32, len(s.p.Nodes)+len(s.p.Gateways))
-	s.diffBuf = make([][]cp.Gene, s.opt.Population)
-	s.rescoreMax = s.opt.RescoreMaxGenes
-	if s.rescoreMax == 0 {
-		// Past this size a diff's load/Φ fan-out touches most gateways
-		// and the replay stops beating a straight Evaluate.
-		s.rescoreMax = 2 + (len(s.p.Nodes)+len(s.p.Gateways))/16
-	}
-
 	pop := make([]indiv, s.opt.Population)
 	pop[0] = indiv{a: s.greedySeed()}
 	start := 1
@@ -238,11 +159,9 @@ func (s *solver) run() *Result {
 		if i < len(pop)/4 {
 			// A few mutated copies of the seed.
 			a := pop[0].a.Clone()
-			s.beginDiff(i)
 			s.mutate(a, 4*s.opt.MutationRate)
 			pop[i] = indiv{a: a}
 		} else {
-			s.beginDiff(i)
 			pop[i] = indiv{a: s.randomAssignment()}
 		}
 	}
@@ -256,50 +175,22 @@ func (s *solver) run() *Result {
 	for g := 0; g < s.opt.Generations; g++ {
 		gens = g + 1
 		next := make([]indiv, 0, len(pop))
-		eliteN := 0
 		for e := 0; e < s.opt.Elitism && e < len(pop); e++ {
-			// Elites carry their known cost (and Scorer state, if built)
-			// through the generation; evalAll skips them. Assignments are
-			// never mutated in place — children clone their parents — so
-			// the carried pointer is safe to share.
-			next = append(next, indiv{a: pop[e].a, cost: pop[e].cost, sc: pop[e].sc, scored: true})
-			eliteN++
+			// Elites carry their known cost through the generation;
+			// evalAll skips them. Assignments are never mutated in place —
+			// children clone their parents — so the carried pointer is
+			// safe to share.
+			next = append(next, indiv{a: pop[e].a, cost: pop[e].cost, scored: true})
 		}
 		for len(next) < len(pop) {
-			pai := s.tournamentIdx(pop)
-			pbi := s.tournamentIdx(pop)
-			pa := &pop[pai]
-			slot := len(next)
-			s.beginDiff(slot)
-			child := s.crossover(pa.a, pop[pbi].a)
+			pa := s.tournament(pop)
+			pb := s.tournament(pop)
+			child := s.crossover(pa, pb)
 			s.mutate(child, s.opt.MutationRate)
 			s.repair(child)
-			s.diffBuf[slot] = s.cur
-			ind := indiv{a: child}
-			if s.rescoreMax >= 0 && len(s.cur) <= s.rescoreMax {
-				// Small diff: stage a clone-and-replay of the first
-				// parent's Scorer (the child is its clone plus the diff).
-				// Built lazily — a parent scored via the full path has no
-				// Scorer state until someone needs it as a base.
-				if pa.sc == nil {
-					pa.sc = s.getScorer()
-					pa.sc.Reset(pa.a)
-				}
-				ind.parent = pa.sc
-				ind.sc = s.getScorer()
-				ind.diff = s.cur
-			}
-			next = append(next, ind)
+			next = append(next, indiv{a: child})
 		}
 		s.evalAll(next)
-		// The old generation's non-elite scorers are dead now that every
-		// child is scored; recycle them into the freelist.
-		for i := eliteN; i < len(pop); i++ {
-			if pop[i].sc != nil {
-				s.pool = append(s.pool, pop[i].sc)
-				pop[i].sc = nil
-			}
-		}
 		sortPop(next)
 		pop = next
 		if pop[0].cost.Total() < best.cost.Total() {
@@ -450,7 +341,7 @@ func (s *solver) localSearch(a *cp.Assignment) {
 // flush, and the walk continues from the probe (no revert), so pricing a
 // node costs candidates+1 flushes.
 func (s *solver) exactPolish(a *cp.Assignment) {
-	sc := s.getScorer()
+	sc := cp.NewScorer(s.p)
 	sc.Reset(a)
 	cur := sc.Cost().Total()
 
@@ -492,7 +383,6 @@ func (s *solver) exactPolish(a *cp.Assignment) {
 			break
 		}
 	}
-	s.pool = append(s.pool, sc)
 }
 
 func sortPop(pop []indiv) {
@@ -501,19 +391,15 @@ func sortPop(pop []indiv) {
 	})
 }
 
-// evalAll scores the population. Scoring-path decisions (elite skip,
-// rescore vs full Evaluate) were all staged on the serial path, each
-// slot writes only itself, and both scoring paths produce bit-identical
-// costs, so the parallel fan-out across the shared deterministic worker
-// pool stays bit-for-bit identical to the serial loop.
+// evalAll scores the population, skipping carried elites. Evaluate is
+// pure and each slot writes only itself, so the parallel fan-out across
+// the shared deterministic worker pool stays bit-for-bit identical to the
+// serial loop.
 func (s *solver) evalAll(pop []indiv) {
 	for i := range pop {
-		switch {
-		case pop[i].scored:
+		if pop[i].scored {
 			s.stats.EliteCarries++
-		case pop[i].parent != nil:
-			s.stats.Rescores++
-		default:
+		} else {
 			s.stats.FullEvals++
 		}
 	}
@@ -522,15 +408,8 @@ func (s *solver) evalAll(pop []indiv) {
 		if ind.scored {
 			return
 		}
-		if ind.parent != nil {
-			ind.sc.CopyFrom(ind.parent)
-			ind.cost = ind.sc.Rescore(ind.a, ind.diff)
-		} else {
-			ind.cost = s.p.Evaluate(ind.a)
-		}
+		ind.cost = s.p.Evaluate(ind.a)
 		ind.scored = true
-		ind.parent = nil
-		ind.diff = nil
 	}
 	if !s.opt.Parallel {
 		for i := range pop {
@@ -541,9 +420,8 @@ func (s *solver) evalAll(pop []indiv) {
 	runner.RunCells(len(pop), score)
 }
 
-// tournamentIdx returns the population index of a tournament winner (an
-// index, not a copy, so lazily built Scorer state sticks to the slot).
-func (s *solver) tournamentIdx(pop []indiv) int {
+// tournament returns the assignment of a tournament winner.
+func (s *solver) tournament(pop []indiv) *cp.Assignment {
 	best := s.rng.Intn(len(pop))
 	for k := 1; k < s.opt.TournamentK; k++ {
 		c := s.rng.Intn(len(pop))
@@ -551,7 +429,7 @@ func (s *solver) tournamentIdx(pop []indiv) int {
 			best = c
 		}
 	}
-	return best
+	return pop[best].a
 }
 
 // greedySeed builds the constructive initial solution.
@@ -753,24 +631,16 @@ func (s *solver) randomBlock(j int) []int {
 	return set
 }
 
-// crossover breeds a child as a clone of a with b's genes mixed in,
-// recording every gene whose value actually changed relative to a (the
-// diff the incremental scoring path replays).
+// crossover breeds a child as a clone of a with b's genes mixed in.
 func (s *solver) crossover(a, b *cp.Assignment) *cp.Assignment {
 	c := a.Clone()
 	for j := range c.GWChannels {
 		if s.rng.Intn(2) == 0 {
-			if !equalInts(c.GWChannels[j], b.GWChannels[j]) {
-				s.touchGW(j)
-			}
 			c.GWChannels[j] = append([]int{}, b.GWChannels[j]...)
 		}
 	}
 	for i := range c.NodeChannel {
 		if s.rng.Intn(2) == 0 {
-			if c.NodeChannel[i] != b.NodeChannel[i] || c.NodeRing[i] != b.NodeRing[i] {
-				s.touchNode(i)
-			}
 			c.NodeChannel[i] = b.NodeChannel[i]
 			c.NodeRing[i] = b.NodeRing[i]
 		}
@@ -781,11 +651,7 @@ func (s *solver) crossover(a, b *cp.Assignment) *cp.Assignment {
 func (s *solver) mutate(a *cp.Assignment, rate float64) {
 	for j := range a.GWChannels {
 		if s.rng.Float64() < rate {
-			nb := s.randomBlock(j)
-			if !equalInts(a.GWChannels[j], nb) {
-				s.touchGW(j)
-			}
-			a.GWChannels[j] = nb
+			a.GWChannels[j] = s.randomBlock(j)
 		}
 	}
 	nCH := len(s.p.Channels)
@@ -794,16 +660,10 @@ func (s *solver) mutate(a *cp.Assignment, rate float64) {
 			continue
 		}
 		if s.rng.Float64() < rate {
-			if nc := s.rng.Intn(nCH); nc != a.NodeChannel[i] {
-				s.touchNode(i)
-				a.NodeChannel[i] = nc
-			}
+			a.NodeChannel[i] = s.rng.Intn(nCH)
 		}
 		if s.rng.Float64() < rate {
-			if nr := s.rng.Intn(lora.NumDRs); nr != a.NodeRing[i] {
-				s.touchNode(i)
-				a.NodeRing[i] = nr
-			}
+			a.NodeRing[i] = s.rng.Intn(lora.NumDRs)
 		}
 	}
 }
@@ -842,7 +702,6 @@ func (s *solver) repair(a *cp.Assignment) {
 			for _, k := range a.GWChannels[j] {
 				if k == a.NodeChannel[i] {
 					if a.NodeRing[i] > n.MaxDR[j] {
-						s.touchNode(i)
 						a.NodeRing[i] = n.MaxDR[j]
 					}
 					ok = true
@@ -858,12 +717,8 @@ func (s *solver) repair(a *cp.Assignment) {
 				continue
 			}
 			set := a.GWChannels[j]
-			if nc := set[s.rng.Intn(len(set))]; nc != a.NodeChannel[i] {
-				s.touchNode(i)
-				a.NodeChannel[i] = nc
-			}
+			a.NodeChannel[i] = set[s.rng.Intn(len(set))]
 			if a.NodeRing[i] > n.MaxDR[j] {
-				s.touchNode(i)
 				a.NodeRing[i] = n.MaxDR[j]
 			}
 			break

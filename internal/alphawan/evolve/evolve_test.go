@@ -260,48 +260,6 @@ func TestParallelFitnessStress(t *testing.T) {
 	}
 }
 
-// TestRescorePathMatchesFullEval pins the central claim of the
-// incremental scoring path: with the same seed, a run that rescores
-// every stageable child and a run with incremental scoring disabled
-// walk the exact same search trajectory to the same bit-identical
-// result — the knob moves only time, never the answer.
-func TestRescorePathMatchesFullEval(t *testing.T) {
-	p := &cp.Problem{
-		Channels: region.Testbed.AllChannels(),
-		Gateways: gwSpec(4),
-		Nodes:    fullReach(48, 4),
-	}
-	run := func(rescoreMax int) *Result {
-		opt := DefaultOptions(11)
-		opt.Generations = 30
-		opt.Patience = 0
-		opt.RescoreMaxGenes = rescoreMax
-		res, err := Solve(p, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	full := run(-1)       // incremental scoring disabled
-	delta := run(1 << 20) // every staged diff rescored
-	if full.Stats.Rescores != 0 {
-		t.Errorf("disabled run rescored %d candidates", full.Stats.Rescores)
-	}
-	if delta.Stats.Rescores == 0 {
-		t.Error("forced run never took the rescore path")
-	}
-	if full.Cost != delta.Cost || full.Generations != delta.Generations {
-		t.Fatalf("paths diverged: full %+v/%d vs rescore %+v/%d",
-			full.Cost, full.Generations, delta.Cost, delta.Generations)
-	}
-	for i := range full.Assignment.NodeChannel {
-		if full.Assignment.NodeChannel[i] != delta.Assignment.NodeChannel[i] ||
-			full.Assignment.NodeRing[i] != delta.Assignment.NodeRing[i] {
-			t.Fatalf("node %d gene diverged between scoring paths", i)
-		}
-	}
-}
-
 // TestEliteCarrySkipsReEvaluation asserts elites ride through
 // generations on their known cost instead of being re-scored.
 func TestEliteCarrySkipsReEvaluation(t *testing.T) {

@@ -1,0 +1,51 @@
+package experiments
+
+import (
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current outputs")
+
+// goldenSlow lists the experiments that take more than about a second at
+// full scale; -short skips them.
+var goldenSlow = map[string]bool{
+	"fig04a": true, "fig04b": true, "fig12a": true, "fig12b": true, "fig12c": true,
+	"fig13": true, "fig21": true, "fig-mac": true, "city-1M": true,
+}
+
+// TestGolden pins every registered experiment's table and notes at seed 1
+// to the checked-in file testdata/golden/<id>.txt, byte for byte — the
+// gate a behaviour-preserving refactor has to pass. After an intentional
+// output change, regenerate with
+//
+//	go test -run Golden -update ./internal/experiments/
+//
+// and review the diff.
+func TestGolden(t *testing.T) {
+	for _, e := range All() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			if testing.Short() && goldenSlow[e.ID] {
+				t.Skip("slow at full scale")
+			}
+			path := filepath.Join("testdata", "golden", e.ID+".txt")
+			got := renderResult(e.Run(1))
+			if *updateGolden {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("%s diverges from %s\n--- got ---\n%s--- want ---\n%s", e.ID, path, got, want)
+			}
+		})
+	}
+}

@@ -8,15 +8,16 @@ package mac
 // truncation, SF quasi-orthogonality, CIC cancellation, the noise-budget
 // integral, and decoder FCFS accounting all stay as they are.
 //
-// Both reception pipelines consult the model at the same two points:
+// medium.Judgement — the one reception kernel under both simulation
+// engines — consults the model at two points:
 //
-//   - Preamble stage: SeparatePreambles gates the detector's preamble-
-//     burial rule (medium.buriedBy / soa.Core.buriedBy). A model that can
+//   - Preamble stage: SeparatePreambles gates the detector's
+//     preamble-burial rule (medium.Rule.BuriesPreambles). A model that can
 //     lock distinct superposed preambles never loses the weaker packet
 //     before dispatch.
 //   - Decode stage: Decodes is the per-interferer fatality predicate
-//     inside the decode judgement (medium.evalInterferer /
-//     soa.Core.evalInterferer), replacing `rssiV-eff < CaptureThresholdDB`.
+//     inside the decode judgement, replacing
+//     `rssiV-eff < CaptureThresholdDB`.
 type CaptureModel interface {
 	// SeparatePreambles reports whether the receiver locks distinct
 	// preambles of superposed same-settings packets (disabling preamble

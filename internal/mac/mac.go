@@ -14,12 +14,13 @@
 //     CurvingLoRa-style judge where overlapping same-settings packets
 //     with sufficient power separation each decode.
 //
-// Both knobs are consulted identically by the object-graph path
-// (node.Node + medium.Medium) and the struct-of-arrays city path
-// (soa.Core), so the two simulation cores stay replay-equivalent under
-// every MAC. Everything here is pure integer/float arithmetic on
-// explicit state — no clocks, no RNG objects — which is what keeps the
-// sharded sweeps byte-identical for any grid shape and worker count.
+// The slot scheduler is applied by both traffic generators (node.Node and
+// soa.Core's arena); the capture model is applied in one place,
+// medium.Judgement, which both simulation cores call — so the cores stay
+// replay-equivalent under every MAC. Everything here is pure integer/float
+// arithmetic on explicit state — no clocks, no RNG objects — which is what
+// keeps the sharded sweeps byte-identical for any grid shape and worker
+// count.
 package mac
 
 import (

@@ -23,12 +23,9 @@
 package medium
 
 import (
-	"math"
-
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/events"
 	"github.com/alphawan/alphawan/internal/lora"
-	"github.com/alphawan/alphawan/internal/mac"
 	"github.com/alphawan/alphawan/internal/phy"
 	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
@@ -63,9 +60,9 @@ type Transmission struct {
 	End    des.Time // payload end: decoder release time
 
 	// posSlot is the interned index of Pos in the medium's position table
-	// (1-based; 0 means "not interned": rxSNR falls back to the keyed gain
-	// map). Transmit assigns it, so every on-air packet hits the dense
-	// per-port gain cache.
+	// (1-based; 0 means "not interned yet": rxSNR interns on first use).
+	// Transmit assigns it, so every on-air packet hits the dense per-port
+	// gain cache.
 	posSlot int32
 }
 
@@ -212,23 +209,14 @@ type Medium struct {
 	// so the table only grows.
 	posSlots map[phy.Point]int32
 
-	// gains is the fallback link-budget cache for rxSNR calls on
-	// transmissions that never went through Transmit (no interned slot):
-	// path loss with frozen shadowing plus the port antenna's gain toward
-	// the transmitter. It stores gains rather than RSSIs so TPC power
-	// changes remain a constant offset and need no invalidation. See
-	// InvalidateGains for the one rule that does.
-	gains map[gainKey]linkGain
-
 	// taskFree is the freelist of pooled lock-on tasks (see lockOnTask):
 	// steady-state Transmit fan-out allocates neither closures nor Meta
 	// copies per detecting port.
 	taskFree *lockOnTask
 
-	// judgeScratch is the reusable per-judgement neighbor buffer of the
-	// CIC path, so the collider census and the interference evaluation
-	// share one neighbor scan.
-	judgeScratch []neighborRef
+	// judgement is the reusable decode judgement (one runs at a time: the
+	// DES is single-threaded); it keeps the CIC path's gather buffer.
+	judgement Judgement
 
 	// The packet-lifecycle topics. Dispatch is synchronous and in
 	// registration order (see internal/events), so any number of
@@ -252,21 +240,9 @@ type Medium struct {
 	// while the topic has subscribers.
 	AirDone events.Topic[*Transmission]
 
-	// ResolveCollisions models a CIC-class gateway (Shahid et al.,
-	// SIGCOMM'21): same-channel same-SF collisions are recovered by
-	// successive interference cancellation instead of destroying both
-	// packets. Decoder-pool limits still apply — the paper's §5.2.1
-	// fairness condition for the CIC baseline.
-	ResolveCollisions bool
-
-	// Capture, when non-nil, replaces the single-winner capture margin
-	// with a pluggable same-settings collision judge (CurvingLoRa-style
-	// concurrent decoding via mac.Curving). It decides only the fatality
-	// of a same-settings interferer and whether superposed preambles bury
-	// each other; spectral truncation, SF quasi-orthogonality, CIC, and
-	// the noise budget are unchanged. Nil keeps the classic
-	// CaptureThresholdDB rule bit-for-bit.
-	Capture mac.CaptureModel
+	// Rule is the collision policy of every gateway on this medium; set
+	// its ResolveCollisions and Capture fields before transmitting.
+	Rule
 }
 
 type judgeKey struct {
@@ -274,23 +250,10 @@ type judgeKey struct {
 	port int
 }
 
-// gainKey identifies one static link: a transmitter position and a port.
-type gainKey struct {
-	x, y float64
-	port int32
-}
-
 // linkGain is the cached dB budget of a link, split so the receive power
 // reconstruction (TXPowerDBm - pl + ant) is bit-for-bit the expression
 // phy.Environment.RXPowerDBm evaluates.
 type linkGain struct{ pl, ant float64 }
-
-// neighborRef is one time-overlapping interferer with its precomputed
-// spectral overlap.
-type neighborRef struct {
-	u  *Transmission
-	ov float64
-}
 
 // New creates a medium over an environment.
 func New(sim *des.Sim, env phy.Environment) *Medium {
@@ -301,7 +264,6 @@ func New(sim *des.Sim, env phy.Environment) *Medium {
 		portsByBin:    make(map[int64][]*Port),
 		collisionIntf: make(map[judgeKey]bool),
 		posSlots:      make(map[phy.Point]int32),
-		gains:         make(map[gainKey]linkGain),
 	}
 }
 
@@ -411,49 +373,36 @@ func (m *Medium) interested(ch region.Channel) []*Port {
 
 // rxSNR computes the received power and SNR of a transmission at a port.
 // The log10/pow-heavy path-loss and antenna terms are memoized per
-// (transmitter position, port) — dense per-port slices indexed by the
-// transmission's interned position slot, with a keyed map fallback for
-// ad-hoc transmissions that never entered the air. Only the
-// transmit-power offset varies between calls, so TPC never invalidates
-// an entry.
+// (transmitter position, port) in dense per-port slices indexed by the
+// transmission's interned position slot (a transmission that never went
+// through Transmit interns its position here). The cache holds gains, not
+// RSSIs: only the transmit-power offset varies between calls, so TPC never
+// invalidates an entry.
 func (m *Medium) rxSNR(tx *Transmission, p *Port) (rssi, snr float64) {
-	var g linkGain
-	if s := tx.posSlot; s > 0 {
-		i := int(s) - 1
-		if i < len(p.gainOK) && p.gainOK[i] {
-			g = p.gains[i]
-		} else {
-			g = m.computeGain(tx.Pos, p)
-			for len(p.gains) <= i {
-				p.gains = append(p.gains, linkGain{})
-				p.gainOK = append(p.gainOK, false)
-			}
-			p.gains[i], p.gainOK[i] = g, true
-		}
-	} else {
-		k := gainKey{x: tx.Pos.X, y: tx.Pos.Y, port: int32(p.id)}
-		var ok bool
-		if g, ok = m.gains[k]; !ok {
-			g = m.computeGain(tx.Pos, p)
-			m.gains[k] = g
-		}
+	if tx.posSlot == 0 {
+		tx.posSlot = m.internPos(tx.Pos)
 	}
+	i := int(tx.posSlot) - 1
+	if i >= len(p.gainOK) || !p.gainOK[i] {
+		for len(p.gains) <= i {
+			p.gains = append(p.gains, linkGain{})
+			p.gainOK = append(p.gainOK, false)
+		}
+		// The static dB budget of the link: path loss with frozen
+		// shadowing plus the port antenna's gain toward the transmitter.
+		p.gains[i] = linkGain{
+			pl:  m.env.PathLoss(tx.Pos, p.Pos),
+			ant: p.Antenna.Gain(p.Pos.Bearing(tx.Pos)),
+		}
+		p.gainOK[i] = true
+	}
+	g := p.gains[i]
 	rssi = tx.PowerDBm - g.pl + g.ant
 	return rssi, rssi - noiseFloor125
 }
 
-// computeGain evaluates the static dB budget of one (position, port)
-// link — the expensive pure-physics terms both caches memoize.
-func (m *Medium) computeGain(pos phy.Point, p *Port) linkGain {
-	return linkGain{
-		pl:  m.env.PathLoss(pos, p.Pos),
-		ant: p.Antenna.Gain(p.Pos.Bearing(pos)),
-	}
-}
-
 // internPos returns the dense slot of a transmitter position, assigning
-// the next one on first sight. Duplicate positions share a slot, exactly
-// as they shared a key in the map cache.
+// the next one on first sight. Duplicate positions share a slot.
 func (m *Medium) internPos(pos phy.Point) int32 {
 	if s, ok := m.posSlots[pos]; ok {
 		return s
@@ -468,20 +417,15 @@ func (m *Medium) internPos(pos phy.Point) int32 {
 // workloads is 125 kHz.
 var noiseFloor125 = lora.NoiseFloorDBm(lora.BW125)
 
-// InvalidateGains drops the cached link budgets involving port p — the
-// dense per-slot slices and any keyed fallback entries. The cache assumes
-// a port's position and antenna are fixed after Attach — true for every
-// current caller, including gateway reconfiguration, which only touches
-// the radio's channels; call this if a port is ever moved or re-antennaed
+// InvalidateGains drops the cached link budgets involving port p. The
+// cache assumes a port's position and antenna are fixed after Attach —
+// true for every current caller, including gateway reconfiguration, which
+// only touches the radio's channels; call this if a port is ever moved or
+// re-antennaed
 // in place.
 func (m *Medium) InvalidateGains(p *Port) {
 	for i := range p.gainOK {
 		p.gainOK[i] = false
-	}
-	for k := range m.gains {
-		if k.port == int32(p.id) {
-			delete(m.gains, k)
-		}
 	}
 }
 
@@ -634,37 +578,12 @@ func (m *Medium) Transmit(tx Transmission) *Transmission {
 	return t
 }
 
-// CaptureThresholdDB is the SIR a packet needs over a same-SF co-channel
-// interferer to survive (capture effect).
-const CaptureThresholdDB = 6.0
-
-// OffsetRejectionDB scales the chirp-decorrelation rejection of a
-// frequency-misaligned interferer: an interferer overlapping by ratio ov
-// is suppressed by (1-ov)·OffsetRejectionDB on top of the spectral
-// truncation. Calibrated so that a strong non-orthogonal interferer at
-// 20% channel overlap raises the reception threshold by ≈3.5 dB
-// (Figure 16) while ≥40% misalignment keeps PRR above 80% (Figure 8).
-const OffsetRejectionDB = 40.0
-
-// SameSettingsOverlap is the spectral overlap above which an interferer
-// counts as using "identical transmission settings" for loss
-// classification (channel contention vs other interference). Exported so
-// the sharded struct-of-arrays core applies the identical threshold.
-const SameSettingsOverlap = 0.9
-
 // buriedBy returns the transmission that masks t's preamble at port p:
 // same SF, near-full spectral overlap, overlapping t's preamble in time,
-// and at least the capture threshold stronger. Returns nil when t's
-// preamble is detectable on its own.
+// and strong enough to bury it. Returns nil when t's preamble is
+// detectable on its own.
 func (m *Medium) buriedBy(t *Transmission, p *Port, rssiV float64) *Transmission {
-	if m.ResolveCollisions {
-		// A CIC gateway separates superposed same-settings packets in the
-		// decoder instead of losing the weaker preamble.
-		return nil
-	}
-	if m.Capture != nil && m.Capture.SeparatePreambles() {
-		// The installed capture model locks distinct superposed preambles
-		// (CurvingLoRa's dechirp stage): nothing is buried before dispatch.
+	if !m.BuriesPreambles() {
 		return nil
 	}
 	var hit *Transmission
@@ -678,130 +597,45 @@ func (m *Medium) buriedBy(t *Transmission, p *Port, rssiV float64) *Transmission
 		if t.Channel.Overlap(u.Channel) < SameSettingsOverlap {
 			return
 		}
-		rssiU, _ := m.rxSNR(u, p)
-		if rssiU-rssiV >= CaptureThresholdDB {
+		if rssiU, _ := m.rxSNR(u, p); Buries(rssiU, rssiV) {
 			hit = u
 		}
 	})
 	return hit
 }
 
-// judgement accumulates one packet's interference budget while its
-// time-overlapping neighbors are folded in.
-type judgement struct {
-	t            *Transmission
-	p            *Port
-	rssiV        float64
-	sicColliders int
-	intfLin      float64
-}
-
-// evalInterferer folds one time-overlapping interferer with spectral
-// overlap ov into the judgement. It reports false when the interferer
-// fatally collides the packet (identical settings, capture lost).
-func (m *Medium) evalInterferer(j *judgement, u *Transmission, ov float64) bool {
-	rssiU, _ := m.rxSNR(u, j.p)
-	// Spectral truncation keeps only the overlapping slice of the
-	// interferer's energy (≈ overlap² in power), and the frequency
-	// offset decorrelates the chirps — LoRa's adjacent-channel
-	// rejection grows roughly linearly with misalignment, reaching
-	// tens of dB for mostly-disjoint channels.
-	eff := rssiU + 20*math.Log10(ov) - OffsetRejectionDB*(1-ov)
-
-	if u.DR.SF() == j.t.DR.SF() {
-		if ov >= SameSettingsOverlap {
-			if m.ResolveCollisions && j.sicColliders <= 1 {
-				// CIC cancels a fully-aligned same-SF collider: it
-				// neither kills the packet nor raises the noise
-				// floor.
-				return true
-			}
-			// Identical settings: the capture rule decides — the classic
-			// single-winner margin, or the installed pluggable judge.
-			fatal := j.rssiV-eff < CaptureThresholdDB
-			if m.Capture != nil {
-				fatal = !m.Capture.Decodes(j.rssiV, eff)
-			}
-			if fatal {
-				m.collisionIntf[judgeKey{j.t.ID, j.p.id}] = u.Network != j.t.Network
-				return false
-			}
-		}
-		// A misaligned same-SF interferer cannot steal the
-		// demodulator lock; its truncated, decorrelated residue only
-		// raises the noise floor.
-		j.intfLin += dbmToMw(eff)
-	} else {
-		// Quasi-orthogonal SFs: interferer suppressed by the
-		// rejection isolation before entering the noise budget.
-		rej := lora.CoChannelRejection(j.t.DR.SF(), u.DR.SF()) // negative
-		j.intfLin += dbmToMw(eff + rej)
-	}
-	return true
-}
-
-// judge decides whether a locked-on packet decodes, by examining every
-// transmission that overlapped it in time at this port. It runs at t.End.
+// judge decides whether a locked-on packet decodes, by feeding every
+// transmission that overlapped it in time and spectrum at this port to the
+// Judgement. It runs at t.End.
 func (m *Medium) judge(t *Transmission, p *Port, rssiV float64) radio.DecodeVerdict {
-	j := judgement{t: t, p: p, rssiV: rssiV}
-	collided := false
-
-	if m.ResolveCollisions {
-		// CIC's successive interference cancellation recovers a two-packet
-		// collision; pile-ups of three or more same-settings packets exceed
-		// what the COTS-constrained baseline can peel apart (§5.2.1). One
-		// neighbor scan both takes the collider census and gathers the
-		// interferers (with their overlaps) for evaluation.
-		nbs := m.judgeScratch[:0]
-		m.neighbors(t.Channel, t.Start, func(u *Transmission) {
-			if u.ID == t.ID || u.End <= t.Start || u.Start >= t.End {
-				return
-			}
-			ov := t.Channel.Overlap(u.Channel)
-			if u.DR.SF() == t.DR.SF() && ov >= SameSettingsOverlap {
-				j.sicColliders++
-			}
-			if ov <= 0 {
-				return
-			}
-			nbs = append(nbs, neighborRef{u: u, ov: ov})
-		})
-		for i := range nbs {
-			if !m.evalInterferer(&j, nbs[i].u, nbs[i].ov) {
-				collided = true
-				break
-			}
+	j := &m.judgement
+	j.Begin(m.Rule, rssiV)
+	sf := t.DR.SF()
+	settled := false
+	m.neighbors(t.Channel, t.Start, func(u *Transmission) {
+		if settled || u.ID == t.ID {
+			return
 		}
-		for i := range nbs {
-			nbs[i].u = nil
+		if u.End <= t.Start || u.Start >= t.End {
+			return // no time overlap
 		}
-		m.judgeScratch = nbs[:0]
-	} else {
-		m.neighbors(t.Channel, t.Start, func(u *Transmission) {
-			if collided || u.ID == t.ID {
-				return
-			}
-			if u.End <= t.Start || u.Start >= t.End {
-				return // no time overlap
-			}
-			ov := t.Channel.Overlap(u.Channel)
-			if ov <= 0 {
-				return // no spectral overlap
-			}
-			if !m.evalInterferer(&j, u, ov) {
-				collided = true
-			}
+		ov := t.Channel.Overlap(u.Channel)
+		if ov <= 0 {
+			return // no spectral overlap
+		}
+		rssiU, _ := m.rxSNR(u, p)
+		settled = !j.Add(&Interferer{
+			RSSI: rssiU, Overlap: ov,
+			Rejection: lora.CoChannelRejection(sf, u.DR.SF()),
+			SameSF:    u.DR.SF() == sf,
+			Foreign:   u.Network != t.Network,
 		})
+	})
+	v, foreign := j.Verdict(noiseFloorLin125, lora.DemodFloorSNR(sf))
+	if v == radio.VerdictChannelCollision {
+		m.collisionIntf[judgeKey{t.ID, p.id}] = foreign
 	}
-
-	if collided {
-		return radio.VerdictChannelCollision
-	}
-	sinr := rssiV - mwToDBm(noiseFloorLin125+j.intfLin)
-	if sinr < lora.DemodFloorSNR(t.DR.SF()) {
-		return radio.VerdictWeakSignal
-	}
-	return radio.VerdictOK
+	return v
 }
 
 // retention is how long a finished transmission stays in the active set.
@@ -898,6 +732,3 @@ func (m *Medium) WirePort(p *Port) {
 func (m *Medium) LookupTX(id int64) *Transmission { return m.byID[id] }
 
 var noiseFloorLin125 = dbmToMw(noiseFloor125)
-
-func dbmToMw(dbm float64) float64 { return math.Pow(10, dbm/10) }
-func mwToDBm(mw float64) float64  { return 10 * math.Log10(mw) }

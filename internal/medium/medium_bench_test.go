@@ -175,11 +175,14 @@ func TestGainCacheMatchesEnvironment(t *testing.T) {
 			}
 		}
 	}
-	if len(med.gains) != 1 {
-		t.Errorf("cache entries = %d, want 1 (TPC must not add entries)", len(med.gains))
+	if len(med.posSlots) != 1 || len(port.gains) != 1 {
+		t.Errorf("cache entries = %d slots / %d gains, want 1 (TPC must not add entries)",
+			len(med.posSlots), len(port.gains))
 	}
 	med.InvalidateGains(port)
-	if len(med.gains) != 0 {
-		t.Errorf("InvalidateGains left %d entries", len(med.gains))
+	for i, ok := range port.gainOK {
+		if ok {
+			t.Errorf("InvalidateGains left slot %d cached", i+1)
+		}
 	}
 }

@@ -14,18 +14,23 @@
 //     reach (see InterferenceFloorDBm), so cross-cell traffic scales
 //     with physical reach, not deployment size.
 //
-// The physics mirrors internal/medium packet for packet — same path-loss
-// and antenna model, detection threshold, preamble capture, decoder FCFS,
-// CIC, and the capture/rejection judgement with the identical constants —
-// with one deliberate deviation: interferers whose received power is
-// below InterferenceFloorDBm are excluded from the judgement everywhere
-// (medium folds them into the noise integral no matter how faint). That
-// explicit floor is what makes the sharded sweep deterministic: a
-// sub-floor interferer may be present in one grid shape and absent in
-// another, so results are bit-identical for every grid size and worker
-// count only because such interferers are ignored uniformly. The fidelity
-// cost is bounded: a floor-level interferer shifts a packet's SINR by
-// < 0.02 dB, 26 dB below the noise floor.
+// The decode decision is medium.Judgement, the kernel internal/medium
+// itself calls; this package supplies its own neighbour walk over the
+// cell tables and its own port bookkeeping (link budget, detection
+// threshold, decoder FCFS), and TestEnginesAgreeOnVerdicts holds the two
+// engines to the same verdict for every packet of a shared schedule. One
+// deliberate deviation: interferers whose received power is below
+// InterferenceFloorDBm are excluded from the judgement everywhere (medium
+// folds them into the noise integral no matter how faint). That explicit
+// floor is what makes the sharded sweep deterministic: a sub-floor
+// interferer may be present in one grid shape and absent in another, so
+// results are bit-identical for every grid size and worker count only
+// because such interferers are ignored uniformly. The fidelity cost on the
+// noise budget is bounded: a floor-level interferer shifts a packet's SINR
+// by < 0.02 dB, 26 dB below the noise floor. Under CIC the floor also
+// keeps such interferers out of the collider census, which can turn an
+// unresolvable three-packet pile-up into a cancellable pair (about 1% of
+// verdicts in the differential test's scenario; DESIGN §13).
 package soa
 
 import (
@@ -85,7 +90,7 @@ type Config struct {
 	// DutyCycle caps each device's airtime fraction (default 1%).
 	DutyCycle float64
 	// ResolveCollisions enables CIC successive interference cancellation
-	// at every gateway, as medium.Medium's flag does.
+	// at every gateway (medium.Rule.ResolveCollisions).
 	ResolveCollisions bool
 	// Slots, when non-nil, installs a slotted-ALOHA overlay: every device
 	// defers each Poisson arrival to its next legal slot boundary on the
@@ -93,9 +98,9 @@ type Config struct {
 	// anchor from Arena.Anchor. Nil keeps pure ALOHA bit-for-bit.
 	Slots *mac.SlotGrid
 	// Capture, when non-nil, replaces the classic same-settings collision
-	// verdict — and, when the model separates preambles, the preamble
-	// burial gate — exactly as medium.Medium.Capture does. Nil keeps the
-	// classic rule bit-for-bit.
+	// verdict and, when the model separates preambles, the preamble
+	// burial gate (medium.Rule.Capture). Nil keeps the classic rule
+	// bit-for-bit.
 	Capture mac.CaptureModel
 }
 
@@ -138,10 +143,10 @@ type cellState struct {
 	// contribs is the epoch's outcome contributions, merged serially
 	// after the parallel sweep.
 	contribs []contrib
-	// scratch backs the CIC judgement's neighbor collection; remap backs
-	// the epoch compaction.
-	scratch []nbRef
-	remap   []int32
+	// judgement is the cell's reusable decode judgement (a cell is swept
+	// by one worker at a time); remap backs the epoch compaction.
+	judgement medium.Judgement
+	remap     []int32
 }
 
 // Core is a sealed city-scale simulation: arena + gateways + grid.
@@ -157,11 +162,11 @@ type Core struct {
 	ports []portState
 	cells []cellState
 
+	// rule is the collision policy every port's judgement applies.
+	rule medium.Rule
+
 	sealed bool
 	done   bool
-	// sepPre caches Capture.SeparatePreambles() at Seal so the sweep's
-	// burial gate reads one bool instead of an interface call.
-	sepPre bool
 
 	nx, ny int
 	// targets[cell] lists the cells (ascending, including itself) whose
@@ -225,6 +230,7 @@ func New(cfg Config) *Core {
 	}
 	return &Core{
 		cfg:      cfg,
+		rule:     medium.Rule{ResolveCollisions: cfg.ResolveCollisions, Capture: cfg.Capture},
 		chanKey:  make(map[region.Channel]int32),
 		setKey:   make(map[string]int32),
 		maxPower: math.Inf(-1),
@@ -314,7 +320,6 @@ func (c *Core) Seal() {
 		panic("soa: Seal called twice")
 	}
 	c.sealed = true
-	c.sepPre = c.cfg.Capture != nil && c.cfg.Capture.SeparatePreambles()
 
 	phyLen := c.cfg.PayloadLen + LoRaWANOverhead
 	for d := lora.DR0; d <= lora.DR5; d++ {
@@ -549,4 +554,3 @@ func (c *Core) Run(until des.Time) *RunStats {
 }
 
 func dbmToMw(dbm float64) float64 { return math.Pow(10, dbm/10) }
-func mwToDBm(mw float64) float64  { return 10 * math.Log10(mw) }

@@ -10,6 +10,7 @@ import (
 	"github.com/alphawan/alphawan/internal/medium"
 	"github.com/alphawan/alphawan/internal/metrics"
 	"github.com/alphawan/alphawan/internal/phy"
+	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/runner"
 )
 
@@ -95,12 +96,6 @@ type pendRec struct {
 	prec      uint8
 	net, dr   uint8
 	done      bool
-}
-
-// nbRef is one interferer gathered by the CIC census scan.
-type nbRef struct {
-	rssiU, ov float64
-	dr, net   uint8
 }
 
 // gap draws the device's next Poisson inter-arrival, mirroring
@@ -205,11 +200,17 @@ func (c *Core) genShard(si int) {
 	c.sendBufs[si] = buf
 }
 
-// processEpoch fans c.sends out to the reachable cells' queues, sweeps
-// every cell in parallel up to horizon t1, then serially merges the
-// cells' outcome contributions and finalizes transmissions that have
-// left the air.
+// processEpoch sweeps the epoch's sends up to horizon t1 and finalizes
+// the transmissions that have left the air.
 func (c *Core) processEpoch(t1 des.Time) {
+	c.sweepEpoch(t1)
+	c.finalize(t1)
+}
+
+// sweepEpoch fans c.sends out to the reachable cells' queues, sweeps
+// every cell in parallel up to horizon t1, then serially merges the
+// cells' outcome contributions into the pending window.
+func (c *Core) sweepEpoch(t1 des.Time) {
 	for i := range c.sends {
 		s := &c.sends[i]
 		gid := c.gidNext
@@ -249,8 +250,6 @@ func (c *Core) processEpoch(t1 des.Time) {
 		cell.contribs = cell.contribs[:0]
 		cell.queue = cell.queue[:0]
 	}
-
-	c.finalize(t1)
 }
 
 // finalize accumulates every pending transmission whose decode-end has
@@ -353,7 +352,7 @@ func (c *Core) handleEvent(cs *cellState, ev swEvent) {
 	t := &cs.store[ev.tx]
 	p := &c.ports[ev.port]
 	if ev.kind == evLock {
-		if p.busy < p.decoders && !c.cfg.ResolveCollisions && !c.sepPre {
+		if p.busy < p.decoders && c.rule.BuriesPreambles() {
 			if uNet, buried := c.buriedBy(cs, t, p, ev.rssi); buried {
 				cs.emit(t.gid, codeChannel(uNet != t.net))
 				return
@@ -375,12 +374,10 @@ func (c *Core) handleEvent(cs *cellState, ev swEvent) {
 	if p.sync != t.sync {
 		p.busyForeign--
 	}
-	ok, inter, collided := c.judge(cs, t, p, ev.rssi)
-	if collided {
+	switch v, inter := c.judge(cs, t, p, ev.rssi); {
+	case v == radio.VerdictChannelCollision:
 		cs.emit(t.gid, codeChannel(inter))
-		return
-	}
-	if ok && p.sync == t.sync {
+	case v == radio.VerdictOK && p.sync == t.sync:
 		// A decoded foreign-sync packet is filtered (DropForeignNetwork),
 		// which the network-wide accounting ignores; a weak decode
 		// defaults to "others". Only a same-sync decode contributes.
@@ -419,8 +416,8 @@ func (c *Core) scanNeighbors(cs *cellState, binIdx int32, winStart, until des.Ti
 }
 
 // buriedBy reports whether t's preamble at port p is masked by a
-// same-settings transmission at least the capture threshold stronger
-// (medium.buriedBy). The interference floor gate cannot change the
+// same-settings transmission strong enough to bury it, and that
+// transmission's network. The interference floor gate cannot change the
 // verdict here — a burying interferer is ≥6 dB above a demod-floor
 // victim, far over the floor — it only skips link-budget evaluations.
 func (c *Core) buriedBy(cs *cellState, t *txRec, p *portState, rssiV float64) (uNet uint8, buried bool) {
@@ -432,7 +429,7 @@ func (c *Core) buriedBy(cs *cellState, t *txRec, p *portState, rssiV float64) (u
 			return true
 		}
 		rssiU := c.rssiAt(u.dev, p)
-		if rssiU < InterferenceFloorDBm || rssiU-rssiV < medium.CaptureThresholdDB {
+		if rssiU < InterferenceFloorDBm || !medium.Buries(rssiU, rssiV) {
 			return true
 		}
 		uNet, buried = u.net, true
@@ -441,94 +438,35 @@ func (c *Core) buriedBy(cs *cellState, t *txRec, p *portState, rssiV float64) (u
 	return uNet, buried
 }
 
-// evalInterferer folds one interferer into the noise budget, returning
-// false on a fatal same-settings collision — the identical arithmetic of
-// medium.evalInterferer.
-func (c *Core) evalInterferer(t *txRec, rssiV float64, nb *nbRef, sic int, intfLin *float64) bool {
-	eff := nb.rssiU + 20*math.Log10(nb.ov) - medium.OffsetRejectionDB*(1-nb.ov)
-	if nb.dr == t.dr {
-		if nb.ov >= medium.SameSettingsOverlap {
-			if c.cfg.ResolveCollisions && sic <= 1 {
-				return true
-			}
-			fatal := rssiV-eff < medium.CaptureThresholdDB
-			if c.cfg.Capture != nil {
-				fatal = !c.cfg.Capture.Decodes(rssiV, eff)
-			}
-			if fatal {
-				return false
-			}
-		}
-		*intfLin += dbmToMw(eff)
-	} else {
-		*intfLin += dbmToMw(eff + c.rej[t.dr][nb.dr])
-	}
-	return true
-}
-
-// judge decides a locked-on packet's decode outcome at its end, mirroring
-// medium.judge: under CIC one scan takes the same-settings collider
-// census and gathers interferers, otherwise the scan evaluates until a
-// fatal collision. Interferers below InterferenceFloorDBm are skipped
-// everywhere (including the census) — the package-level determinism
+// judge decides a locked-on packet's decode outcome at its end by feeding
+// the cell's time- and spectrum-overlapping transmissions to the cell's
+// medium.Judgement; inter reports a fatal collider from another network.
+// Interferers below InterferenceFloorDBm are skipped (so they are absent
+// from CIC's collider census too) — the package-level determinism
 // deviation.
-func (c *Core) judge(cs *cellState, t *txRec, p *portState, rssiV float64) (ok, inter, collided bool) {
-	intfLin := 0.0
-	b := c.chanBinIdx[t.ch]
-	if c.cfg.ResolveCollisions {
-		sic := 0
-		nbs := cs.scratch[:0]
-		c.scanNeighbors(cs, b, t.start, t.end, func(u *txRec) bool {
-			if u.gid == t.gid || u.end <= t.start {
-				return true
-			}
-			ov := c.ov[t.ch][u.ch]
-			if ov <= 0 {
-				return true
-			}
-			rssiU := c.rssiAt(u.dev, p)
-			if rssiU < InterferenceFloorDBm {
-				return true
-			}
-			if u.dr == t.dr && ov >= medium.SameSettingsOverlap {
-				sic++
-			}
-			nbs = append(nbs, nbRef{rssiU: rssiU, ov: ov, dr: u.dr, net: u.net})
+func (c *Core) judge(cs *cellState, t *txRec, p *portState, rssiV float64) (v radio.DecodeVerdict, inter bool) {
+	j := &cs.judgement
+	j.Begin(c.rule, rssiV)
+	c.scanNeighbors(cs, c.chanBinIdx[t.ch], t.start, t.end, func(u *txRec) bool {
+		if u.gid == t.gid || u.end <= t.start {
 			return true
-		})
-		for i := range nbs {
-			if !c.evalInterferer(t, rssiV, &nbs[i], sic, &intfLin) {
-				collided, inter = true, nbs[i].net != t.net
-				break
-			}
 		}
-		cs.scratch = nbs[:0]
-	} else {
-		c.scanNeighbors(cs, b, t.start, t.end, func(u *txRec) bool {
-			if u.gid == t.gid || u.end <= t.start {
-				return true
-			}
-			ov := c.ov[t.ch][u.ch]
-			if ov <= 0 {
-				return true
-			}
-			rssiU := c.rssiAt(u.dev, p)
-			if rssiU < InterferenceFloorDBm {
-				return true
-			}
-			nb := nbRef{rssiU: rssiU, ov: ov, dr: u.dr, net: u.net}
-			if !c.evalInterferer(t, rssiV, &nb, 0, &intfLin) {
-				collided, inter = true, u.net != t.net
-				return false
-			}
+		ov := c.ov[t.ch][u.ch]
+		if ov <= 0 {
 			return true
+		}
+		rssiU := c.rssiAt(u.dev, p)
+		if rssiU < InterferenceFloorDBm {
+			return true
+		}
+		return j.Add(&medium.Interferer{
+			RSSI: rssiU, Overlap: ov,
+			Rejection: c.rej[t.dr][u.dr],
+			SameSF:    u.dr == t.dr,
+			Foreign:   u.net != t.net,
 		})
-	}
-	if collided {
-		return false, inter, true
-	}
-	sinr := rssiV - mwToDBm(c.noiseLin+intfLin)
-	return sinr >= c.demod[t.dr], false, false
+	})
+	return j.Verdict(c.noiseLin, c.demod[t.dr])
 }
 
 // compactCell drops store entries that can no longer overlap any pending
