@@ -252,17 +252,23 @@ var NewAgent = agent.New
 type (
 	// NetServer is the ChirpStack-style network server core.
 	NetServer = netserver.Server
-	// Bridge is the UDP packet-forwarder bridge (server side).
-	Bridge = udpfwd.Bridge
+	// BatchBridge is the UDP packet-forwarder bridge (server side): it
+	// acknowledges gateways, parses rxpks on a worker pool and hands each
+	// uplink to BridgeOptions.Handler.
+	BatchBridge = udpfwd.BatchBridge
+	// BridgeOptions configures a BatchBridge; Handler is required.
+	BridgeOptions = udpfwd.Options
+	// UplinkFrame is one decoded uplink as the bridge's handler sees it.
+	UplinkFrame = udpfwd.UplinkFrame
 	// Forwarder is the gateway-side packet forwarder.
 	Forwarder = udpfwd.Forwarder
 )
 
 // Live stack constructors.
 var (
-	NewNetServer = netserver.New
-	NewBridge    = udpfwd.NewBridge
-	NewForwarder = udpfwd.NewForwarder
+	NewNetServer   = netserver.New
+	NewBatchBridge = udpfwd.NewBatchBridge
+	NewForwarder   = udpfwd.NewForwarder
 )
 
 // Observability. Every layer publishes typed packet-lifecycle events on

@@ -1,13 +1,13 @@
-// Package bench is the reproduction benchmark harness: one testing.B
-// benchmark per table and figure of the paper's evaluation, plus the
-// ablation benches DESIGN.md calls out. Each iteration regenerates the
-// experiment's full table; run with
+// Package bench times the reproduction: one sub-benchmark per registered
+// experiment, each iteration regenerating the experiment's full table at
+// seed 1.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'Experiment/fig13$' -benchmem
+//	go test -run '^$' -bench . -benchtime 1x -v     # also prints each table
 //
-// and compare the emitted rows against EXPERIMENTS.md. Every benchmark
-// reports the experiment's headline metric via b.ReportMetric where the
-// experiment exposes one.
+// End-to-end throughput, latency under load, memory and the per-layer
+// breakdown are benchmark/run.sh's job; this file answers "what does
+// regenerating figure X cost".
 package bench
 
 import (
@@ -16,115 +16,34 @@ import (
 	"github.com/alphawan/alphawan/internal/experiments"
 )
 
-// runExperiment executes one registered experiment b.N times.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.Get(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res := e.Run(1)
-		if res.Table.Rows() == 0 {
-			b.Fatalf("%s produced no rows", id)
+// minutesLong are the ids left out: CI's bench smoke runs every benchmark
+// once, and these two take minutes each (alphawan-sim -run <id> runs them).
+var minutesLong = map[string]bool{"city-1M": true, "fig-mac": true}
+
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.All() {
+		if minutesLong[e.ID] {
+			continue
 		}
-		if i == 0 && testing.Verbose() {
-			b.Logf("\n%s", res.Table.String())
-			for _, n := range res.Notes {
-				b.Logf("-> %s", n)
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			var devices int
+			for i := 0; i < b.N; i++ {
+				res := e.Run(1)
+				if res.Table.Rows() == 0 {
+					b.Fatalf("%s produced no rows", e.ID)
+				}
+				devices = res.Devices
+				if i == 0 && testing.Verbose() {
+					b.Logf("\n%s", res.Table.String())
+					for _, n := range res.Notes {
+						b.Logf("-> %s", n)
+					}
+				}
 			}
-		}
-	}
-}
-
-// Figure 2: capacity gaps of operational LoRaWANs.
-func BenchmarkFig02a(b *testing.B) { runExperiment(b, "fig02a") }
-func BenchmarkFig02b(b *testing.B) { runExperiment(b, "fig02b") }
-
-// Figure 3: the gateway reception pipeline (lock-on order, FCFS
-// fairness, decode-then-filter).
-func BenchmarkFig03ab(b *testing.B) { runExperiment(b, "fig03ab") }
-func BenchmarkFig03cd(b *testing.B) { runExperiment(b, "fig03cd") }
-func BenchmarkFig03ef(b *testing.B) { runExperiment(b, "fig03ef") }
-
-// Figure 4: loss-cause breakdowns at scale and under coexistence.
-func BenchmarkFig04a(b *testing.B) { runExperiment(b, "fig04a") }
-func BenchmarkFig04b(b *testing.B) { runExperiment(b, "fig04b") }
-
-// Figure 5: Strategies ① and ②.
-func BenchmarkFig05a(b *testing.B) { runExperiment(b, "fig05a") }
-func BenchmarkFig05b(b *testing.B) { runExperiment(b, "fig05b") }
-
-// Figure 6: standard ADR's cell shrinking and DR skew.
-func BenchmarkFig06(b *testing.B) { runExperiment(b, "fig06") }
-
-// Figure 7: directional antennas.
-func BenchmarkFig07(b *testing.B) { runExperiment(b, "fig07") }
-
-// Figure 8: overlapping channels and packet performance.
-func BenchmarkFig08(b *testing.B) { runExperiment(b, "fig08") }
-
-// Figure 12: AlphaWAN's testbed evaluation.
-func BenchmarkFig12a(b *testing.B)  { runExperiment(b, "fig12a") }
-func BenchmarkFig12b(b *testing.B)  { runExperiment(b, "fig12b") }
-func BenchmarkFig12c(b *testing.B)  { runExperiment(b, "fig12c") }
-func BenchmarkFig12de(b *testing.B) { runExperiment(b, "fig12de") }
-
-// Figure 13: scaled operations against the state of the art.
-func BenchmarkFig13(b *testing.B) { runExperiment(b, "fig13") }
-
-// Figure 14: partial adoption.
-func BenchmarkFig14(b *testing.B) { runExperiment(b, "fig14") }
-
-// Figure 15: fairness among coexisting networks.
-func BenchmarkFig15(b *testing.B) { runExperiment(b, "fig15") }
-
-// Figure 16: spectrum sharing's impact on reception thresholds.
-func BenchmarkFig16(b *testing.B) { runExperiment(b, "fig16") }
-
-// Figure 17: capacity-upgrade latency.
-func BenchmarkFig17(b *testing.B) { runExperiment(b, "fig17") }
-
-// Figure 18 / Appendix A: spectrum allocations worldwide.
-func BenchmarkFig18(b *testing.B) { runExperiment(b, "fig18") }
-
-// Figure 21 / Appendix D: 53-week user expansion.
-func BenchmarkFig21(b *testing.B) { runExperiment(b, "fig21") }
-
-// Table 1: the strategy survey (principles ①–④ quantified).
-func BenchmarkTable1(b *testing.B) { runExperiment(b, "table1") }
-
-// Table 4 / Appendix C: COTS gateway capacities.
-func BenchmarkTable4(b *testing.B) { runExperiment(b, "table4") }
-
-// Ablations (DESIGN.md §5). Lock-on ordering is exercised by Fig 3a/b;
-// the remaining design choices have dedicated benches.
-func BenchmarkAblationLockOn(b *testing.B)           { runExperiment(b, "fig03ab") }
-func BenchmarkAblationPreFilter(b *testing.B)        { runExperiment(b, "abl-prefilter") }
-func BenchmarkAblationSeeding(b *testing.B)          { runExperiment(b, "abl-seeding") }
-func BenchmarkAblationOverlapThreshold(b *testing.B) { runExperiment(b, "abl-overlap") }
-func BenchmarkAblationTrafficWindows(b *testing.B)   { runExperiment(b, "abl-trafficwin") }
-
-// City-scale smoke: the 50k-device sharded-SoA run CI gates on. The full
-// city-1M sweep (up to a million devices, three strategies) is not a
-// testing.B benchmark — the CI bench smoke runs every benchmark once —
-// but is available as `alphawan-bench -only city-1M`.
-func BenchmarkCitySmoke(b *testing.B) {
-	e, ok := experiments.Get("city-smoke")
-	if !ok {
-		b.Fatal("city-smoke not registered")
-	}
-	b.ReportAllocs()
-	var devices int
-	for i := 0; i < b.N; i++ {
-		res := e.Run(1)
-		if res.Table.Rows() == 0 {
-			b.Fatal("city-smoke produced no rows")
-		}
-		devices = res.Devices
-	}
-	if devices > 0 {
-		b.ReportMetric(float64(devices)/b.Elapsed().Seconds()*float64(b.N), "devices/sec")
+			if devices > 0 {
+				b.ReportMetric(float64(devices)*float64(b.N)/b.Elapsed().Seconds(), "devices/sec")
+			}
+		})
 	}
 }

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"sync"
@@ -80,12 +81,32 @@ func main() {
 		"how long shutdown waits for gateways to ack in-flight downlinks")
 	flag.Parse()
 
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	st, bst, err := run(*listen, *devices, *workers, *verbose, *flushWait, sig, func(addr *net.UDPAddr) {
+		log.Printf("alphawan-server: UDP bridge on %s, %d sessions", addr, *devices)
+	})
+	if err != nil {
+		log.Fatalf("alphawan-server: %v", err)
+	}
+	log.Printf("alphawan-server: served %d uplinks (%d delivered, %d duplicates, %d ADR commands), "+
+		"%d datagrams (%d overload-dropped), %d/%d downlinks acked, shutting down",
+		st.Uplinks, st.Delivered, st.Duplicates, st.ADRCommands,
+		bst.Datagrams, bst.OverloadDrops, bst.DownlinkAcks, bst.DownlinksSent)
+}
+
+// run is the server behind the flags: it provisions the sessions, wires
+// server and bridge together, calls ready with the bound address, serves
+// until stop delivers, shuts down in phases and returns the final
+// counters.
+func run(listen string, devices, workers int, verbose bool, flushWait time.Duration,
+	stop <-chan os.Signal, ready func(*net.UDPAddr)) (netserver.ServerStats, udpfwd.BridgeStats, error) {
 	srv := netserver.New()
 	srv.ADREnabled = true
-	provision(srv, *devices)
+	provision(srv, devices)
 	seen := &lastSeen{gws: make(map[frame.DevAddr]udpfwd.UplinkFrame)}
 
-	if *verbose {
+	if verbose {
 		srv.Served.Subscribe(func(d netserver.Data) {
 			log.Printf("uplink dev=%v fport=%d payload=%q gw=%d snr=%.1f",
 				d.Dev.Addr, d.FPort, d.Payload, d.Meta.Gateway, d.Meta.SNRdB)
@@ -122,13 +143,13 @@ func main() {
 			Data: udpfwd.EncodeData(raw),
 		}
 		<-bridgeUp
-		if err := bridge.SendDownlink(up.EUI, tx); err != nil && *verbose {
+		if err := bridge.SendDownlink(up.EUI, tx); err != nil && verbose {
 			log.Printf("downlink dev=%v gw=%d: %v", c.Dev.Addr, up.EUI, err)
 		}
 	})
 
-	bridge, err := udpfwd.NewBatchBridge(*listen, udpfwd.Options{
-		Workers: *workers,
+	bridge, err := udpfwd.NewBatchBridge(listen, udpfwd.Options{
+		Workers: workers,
 		Handler: func(up *udpfwd.UplinkFrame) {
 			meta := netserver.UplinkMeta{
 				Gateway: int(up.EUI),
@@ -146,20 +167,18 @@ func main() {
 					uint32(up.Raw[3])<<16 | uint32(up.Raw[4])<<24)
 				seen.note(addr, up)
 			}
-			if err := srv.HandleUplink(up.Raw, meta); err != nil && *verbose {
+			if err := srv.HandleUplink(up.Raw, meta); err != nil && verbose {
 				log.Printf("uplink rejected: %v", err)
 			}
 		},
 	})
 	if err != nil {
-		log.Fatalf("alphawan-server: %v", err)
+		return netserver.ServerStats{}, udpfwd.BridgeStats{}, err
 	}
 	close(bridgeUp)
-	log.Printf("alphawan-server: UDP bridge on %s, %d sessions", bridge.Addr(), *devices)
+	ready(bridge.Addr())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	<-sig
+	<-stop
 
 	// Phased shutdown: stop accepting uplinks but keep the socket open,
 	// let the workers finish every queued datagram (those uplinks may
@@ -167,16 +186,11 @@ func main() {
 	// gateways a bounded window to ack before tearing down.
 	log.Printf("alphawan-server: draining")
 	bridge.DrainUplinks()
-	if !bridge.FlushDownlinks(*flushWait) {
+	if !bridge.FlushDownlinks(flushWait) {
 		bst := bridge.Stats()
 		log.Printf("alphawan-server: %d downlinks unacked after %v",
-			bst.DownlinksSent-bst.DownlinkAcks, *flushWait)
+			bst.DownlinksSent-bst.DownlinkAcks, flushWait)
 	}
 	bridge.Close()
-	st := srv.Stats()
-	bst := bridge.Stats()
-	log.Printf("alphawan-server: served %d uplinks (%d delivered, %d duplicates, %d ADR commands), "+
-		"%d datagrams (%d overload-dropped), %d/%d downlinks acked, shutting down",
-		st.Uplinks, st.Delivered, st.Duplicates, st.ADRCommands,
-		bst.Datagrams, bst.OverloadDrops, bst.DownlinkAcks, bst.DownlinksSent)
+	return srv.Stats(), bridge.Stats(), nil
 }

@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sync/atomic"
 	"time"
 
 	"github.com/alphawan/alphawan/alphawan"
@@ -25,47 +26,34 @@ import (
 
 const devices = 12
 
-var uplinks int
-
 func main() {
-	// 1. Network server + UDP bridge (the "cloud" side).
+	// 1. Network server + UDP bridge (the "cloud" side). The bridge calls
+	// its handler — and through it the server's subscribers — from
+	// several workers at once, so what they count is atomic.
 	srv := alphawan.NewNetServer()
 	srv.ADREnabled = true
-	var delivered int
+	var delivered atomic.Int64
 	srv.Served.Subscribe(func(d netserver.Data) {
-		delivered++
-		if delivered <= 5 {
+		if delivered.Add(1) <= 5 {
 			log.Printf("app data from %v via gw %d (SNR %.1f dB): %q",
 				d.Dev.Addr, d.Meta.Gateway, d.Meta.SNRdB, d.Payload)
 		}
 	})
-	var adrCmds int
-	srv.Commands.Subscribe(func(netserver.Command) { adrCmds++ })
 
-	bridge, err := alphawan.NewBridge("127.0.0.1:0")
+	bridge, err := alphawan.NewBatchBridge("127.0.0.1:0", alphawan.BridgeOptions{
+		Handler: func(up *alphawan.UplinkFrame) {
+			srv.HandleUplink(up.Raw, netserver.UplinkMeta{
+				Gateway: int(up.EUI), Freq: region.Hz(up.FreqHz),
+				DR: up.DR, RSSIdBm: float64(up.RSSIdBm), SNRdB: up.SNRdB,
+				At: des.Time(up.Tmst),
+			})
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer bridge.Close()
 	log.Printf("network server bridge on %s", bridge.Addr())
-
-	go func() {
-		for up := range bridge.Uplinks() {
-			raw, err := udpfwd.DecodeData(up.RXPK.Data)
-			if err != nil {
-				continue
-			}
-			dr, err := udpfwd.ParseDatr(up.RXPK.Datr)
-			if err != nil {
-				continue
-			}
-			srv.HandleUplink(raw, netserver.UplinkMeta{
-				Gateway: int(up.EUI), Freq: region.Hz(up.RXPK.Freq * 1e6),
-				DR: dr, RSSIdBm: float64(up.RXPK.RSSI), SNRdB: up.RXPK.LSNR,
-				At: des.Time(up.RXPK.Tmst),
-			})
-		}
-	}()
 
 	// 2. The "field" side: a simulated medium with two gateways, each
 	// forwarding over a real UDP socket.
@@ -74,6 +62,7 @@ func main() {
 	sim := des.New(1)
 	med := medium.New(sim, env)
 	cfgs := alphawan.StandardConfigs(alphawan.AS923, 2, 0x34)
+	var uplinks int
 	for i := 0; i < 2; i++ {
 		gw, err := gateway.New(sim, med, i, alphawan.RAK7268CV2,
 			alphawan.Pt(float64(i)*40, 0), alphawan.Antenna{}, cfgs[i])
@@ -86,7 +75,7 @@ func main() {
 		}
 		defer fwd.Close()
 		gw.Uplinks.Subscribe(func(u gateway.Uplink) {
-			uplinks++
+			uplinks++ // on the simulator's goroutine only
 			if err := fwd.Push([]udpfwd.RXPK{{
 				Tmst: uint32(u.At), Freq: float64(u.TX.Channel.Center) / 1e6,
 				Chan: u.Meta.Chain, Stat: 1, Modu: "LORA",
@@ -113,7 +102,9 @@ func main() {
 
 	log.Printf("simulating 60 s of traffic from %d devices through 2 gateways...", devices)
 	sim.RunUntil(61 * des.Second)
-	time.Sleep(time.Second) // drain in-flight UDP
+	// Every Push above returned on its PUSH_ACK, so the bridge has queued
+	// every datagram; Drain serves them all before the counters are read.
+	bridge.Drain()
 
 	log.Printf("gateway uplink callbacks: %d", uplinks)
 	st := srv.Stats()

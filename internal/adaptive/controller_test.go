@@ -85,7 +85,7 @@ func TestControllerReplansThroughOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := NewView(n, channels)
+	view := new(View)
 	view.WatchFaults(inj)
 	ctrl, err := Attach(n, op, plan, view, Config{
 		Start: t0, Stop: t0 + 30*des.Second, Interval: 2 * des.Second,
@@ -133,7 +133,7 @@ func TestControllerReplansThroughOutage(t *testing.T) {
 // runs, no commands are pushed, no events fire.
 func TestControllerNoFaultsNoReplans(t *testing.T) {
 	n, op, plan, channels := plannedScenario(t, 4)
-	view := NewView(n, channels)
+	view := new(View)
 	t0 := (n.Sim.Now()/des.Second + 2) * des.Second
 	ctrl, err := Attach(n, op, plan, view, Config{
 		Start: t0, Stop: t0 + 10*des.Second, Interval: des.Second,
@@ -154,7 +154,7 @@ func TestControllerNoFaultsNoReplans(t *testing.T) {
 // TestAttachRejects pins the config guards.
 func TestAttachRejects(t *testing.T) {
 	n, op, plan, channels := plannedScenario(t, 5)
-	view := NewView(n, channels)
+	view := new(View)
 	good := Config{Start: 0, Stop: des.Second, Interval: des.Second, Channels: channels, Solver: testSolver(1)}
 
 	bad := good

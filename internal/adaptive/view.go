@@ -1,13 +1,11 @@
 // Package adaptive closes the loop the paper leaves open: the Master
 // plans once, the faults subsystem injects, and nothing reacts. Here a
-// Master-side control loop subscribes to the event bus — per-gateway
-// decoder-contention drops, network-wide loss-cause outcomes, and the
-// fault injector's episode transitions — maintains a drifted telemetry
-// view of the live network (gateways up or down, degraded decoder pools,
-// per-channel load), and on a DES-clocked cadence re-prices the live
-// channel plan with the incremental cp.Scorer and runs a bounded
-// warm-started re-solve. A candidate plan is adopted only when it is
-// valid and no worse than the incumbent under the telemetry snapshot
+// Master-side control loop subscribes to the fault injector's episode
+// transitions, maintains the drifted state of the live network (gateways
+// up or down, degraded decoder pools), and on a DES-clocked cadence
+// re-prices the live channel plan with the incremental cp.Scorer and
+// runs a bounded warm-started re-solve. A candidate plan is adopted only
+// when it is valid and no worse than the incumbent under the fault state
 // that triggered it; adopted diffs are pushed to gateways and end
 // devices through the existing command-delivery seam.
 //
@@ -19,52 +17,13 @@
 // a provable no-op.
 package adaptive
 
-import (
-	"github.com/alphawan/alphawan/internal/faults"
-	"github.com/alphawan/alphawan/internal/medium"
-	"github.com/alphawan/alphawan/internal/metrics"
-	"github.com/alphawan/alphawan/internal/radio"
-	"github.com/alphawan/alphawan/internal/region"
-	"github.com/alphawan/alphawan/internal/sim"
-)
+import "github.com/alphawan/alphawan/internal/faults"
 
-// numCauses mirrors the metrics package's internal cause count.
-const numCauses = int(metrics.Others) + 1
-
-// NetTelemetry aggregates one network's outcomes as the view observed
-// them on the bus — the same accounting metrics.Collector keeps, rebuilt
-// independently so the control loop has no privileged access to ground
-// truth (and so the telemetry unit suite can diff the two).
-type NetTelemetry struct {
-	Sent     int
-	Received int
-	// Losses counts lost transmissions by metrics.Cause.
-	Losses [numCauses]int
-}
-
-// View is the drifted telemetry state the controller replans against.
-// All of its bus subscribers are allocation-free once warm (the
-// steady-state alloc guard pins this), and none schedules DES events or
-// draws randomness, so attaching a view never perturbs a run.
+// View is the fault state the controller replans against: which outage
+// and degrade episodes are active, and an epoch that moves on every
+// transition. The zero View is ready to use; it schedules no DES events
+// and draws no randomness, so attaching one never perturbs a run.
 type View struct {
-	net *sim.Network
-
-	// chIdx maps a channel center frequency to its index in the planning
-	// universe; channelLoad counts transmission starts per index.
-	chIdx       map[region.Hz]int
-	channelLoad []int
-
-	// decoderDrops counts decoder-contention drops per gateway (port
-	// index), the per-gateway contention signal the paper's objective
-	// prices.
-	decoderDrops []int
-
-	// episodeDrops attributes gateway-down drops to the fault episode
-	// that caused them (medium.Drop.Episode).
-	episodeDrops map[int64]int
-
-	perNet []NetTelemetry
-
 	// outages and degrades are the currently active fault episodes, in
 	// arrival order; epoch increments on every transition — the dirty
 	// signal the controller's ticks poll. With no injector watched (or
@@ -73,31 +32,6 @@ type View struct {
 	outages  []*faults.Episode
 	degrades []*faults.Episode
 	epoch    uint64
-}
-
-// NewView subscribes a telemetry view to a composed scenario. The
-// channel universe fixes the per-channel load index. Call before the run
-// starts so no event escapes observation.
-func NewView(n *sim.Network, channels []region.Channel) *View {
-	v := &View{
-		net:          n,
-		chIdx:        make(map[region.Hz]int, len(channels)),
-		channelLoad:  make([]int, len(channels)),
-		episodeDrops: make(map[int64]int),
-		perNet:       make([]NetTelemetry, len(n.Operators)+1),
-	}
-	for i, ch := range channels {
-		v.chIdx[ch.Center] = i
-	}
-	gws := 0
-	for _, op := range n.Operators {
-		gws += len(op.Gateways)
-	}
-	v.decoderDrops = make([]int, gws)
-	n.Med.TXStarts.Subscribe(v.txStart)
-	n.Med.Drops.Subscribe(v.drop)
-	n.Col.Outcomes.Subscribe(v.outcome)
-	return v
 }
 
 // WatchFaults records the injector's episode transitions: gateway
@@ -136,37 +70,6 @@ func removeEpisode(eps []*faults.Episode, ep *faults.Episode) []*faults.Episode 
 	return out
 }
 
-func (v *View) txStart(t *medium.Transmission) {
-	if i, ok := v.chIdx[t.Channel.Center]; ok {
-		v.channelLoad[i]++
-	}
-}
-
-func (v *View) drop(d medium.Drop) {
-	if d.Reason == radio.DropNoDecoder {
-		if i := d.Port.Index(); i < len(v.decoderDrops) {
-			v.decoderDrops[i]++
-		}
-	}
-	if d.Episode != 0 {
-		v.episodeDrops[d.Episode]++
-	}
-}
-
-func (v *View) outcome(o metrics.Outcome) {
-	id := int(o.TX.Network)
-	if id >= len(v.perNet) {
-		return
-	}
-	s := &v.perNet[id]
-	s.Sent++
-	if o.Received {
-		s.Received++
-		return
-	}
-	s.Losses[o.Cause]++
-}
-
 // Epoch returns the fault-transition counter. A controller tick replans
 // only when the epoch moved since its last look.
 func (v *View) Epoch() uint64 { return v.epoch }
@@ -197,33 +100,3 @@ func (v *View) DecoderCap(gwID int) int {
 	}
 	return cap
 }
-
-// Network returns the view's telemetry for one network (zero value if
-// out of range).
-func (v *View) Network(id medium.NetworkID) NetTelemetry {
-	if id < 0 || int(id) >= len(v.perNet) {
-		return NetTelemetry{}
-	}
-	return v.perNet[id]
-}
-
-// DecoderDrops returns the decoder-contention drop count observed at a
-// gateway (by port index).
-func (v *View) DecoderDrops(gwID int) int {
-	if gwID < 0 || gwID >= len(v.decoderDrops) {
-		return 0
-	}
-	return v.decoderDrops[gwID]
-}
-
-// ChannelLoad returns the transmission-start count observed on channel
-// index i of the planning universe.
-func (v *View) ChannelLoad(i int) int {
-	if i < 0 || i >= len(v.channelLoad) {
-		return 0
-	}
-	return v.channelLoad[i]
-}
-
-// EpisodeDrops returns the drops attributed to a fault episode.
-func (v *View) EpisodeDrops(episodeID int64) int { return v.episodeDrops[episodeID] }

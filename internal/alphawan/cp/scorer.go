@@ -107,7 +107,7 @@ type Scorer struct {
 }
 
 // NewScorer allocates a Scorer for the problem. The returned Scorer
-// holds no assignment yet; call Reset (or CopyFrom) before Cost.
+// holds no assignment yet; call Reset before Cost.
 func NewScorer(p *Problem) *Scorer {
 	if len(p.Channels) > 64 {
 		panic("cp: more than 64 channels not supported")
@@ -155,50 +155,6 @@ func (s *Scorer) Assignment() *Assignment { return &s.a }
 func (s *Scorer) Reset(a *Assignment) {
 	s.copyAssign(a)
 	s.fullRebuild()
-}
-
-// CopyFrom makes s an exact replica of base — assignment snapshot,
-// evaluation state, and any pending dirt — without touching the shared
-// reachability index. It is the freelist path: clone a parent's Scorer,
-// replay a child's diff, flush.
-func (s *Scorer) CopyFrom(base *Scorer) {
-	if s.p != base.p {
-		panic("cp: CopyFrom across problems")
-	}
-	s.copyAssign(&base.a)
-	copy(s.operated, base.operated)
-	copy(s.spanBad, base.spanBad)
-	copy(s.loads, base.loads)
-	copy(s.risks, base.risks)
-	copy(s.gwBits, base.gwBits)
-	copy(s.phi, base.phi)
-	copy(s.contrib, base.contrib)
-	copy(s.unconn, base.unconn)
-	copy(s.cellLoad, base.cellLoad)
-	copy(s.cellBits, base.cellBits)
-	s.spillNodes = base.spillNodes
-	s.spillTouch = base.spillTouch
-	if len(base.spill) == 0 {
-		s.spill = nil
-	} else {
-		if s.spill == nil {
-			s.spill = make(map[int]float64, len(base.spill))
-		} else {
-			clear(s.spill)
-		}
-		for k, v := range base.spill {
-			s.spill[k] = v
-		}
-	}
-	s.cost = base.cost
-	copy(s.loadDirty, base.loadDirty)
-	s.dirtyGWs = append(s.dirtyGWs[:0], base.dirtyGWs...)
-	copy(s.cellDirty, base.cellDirty)
-	s.dirtyCells = append(s.dirtyCells[:0], base.dirtyCells...)
-	copy(s.phiDirty, base.phiDirty)
-	s.gwTouched = base.gwTouched
-	s.needFull = base.needFull
-	s.riskChanged = s.riskChanged[:0] // transient within one flush
 }
 
 func (s *Scorer) copyAssign(a *Assignment) {

@@ -80,9 +80,9 @@ func randGWSet(rng *rand.Rand, nCH int) []int {
 
 // TestScorerDifferential drives random problems through random gene-move
 // sequences and demands that every Scorer path — Reset, in-place
-// SetNode/SetGWChannels + Cost, Rescore from a CopyFrom clone — agree
-// bit-for-bit with both the fast Evaluate and the dense reference
-// evaluator at every step.
+// SetNode/SetGWChannels + Cost, in-place Rescore — agree bit-for-bit
+// with both the fast Evaluate and the dense reference evaluator at every
+// step.
 func TestScorerDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
@@ -92,7 +92,8 @@ func TestScorerDifferential(t *testing.T) {
 		sc.Reset(a)
 		checkAll(t, p, a, sc.Cost(), "Reset")
 
-		spare := NewScorer(p)
+		setters := NewScorer(p)
+		setters.Reset(a)
 		for step := 0; step < 40; step++ {
 			// Mutate 1–3 genes, recording the diff (sometimes recording
 			// an unchanged gene too — must be a harmless no-op).
@@ -113,12 +114,17 @@ func TestScorerDifferential(t *testing.T) {
 				genes = append(genes, NodeGene(rng.Intn(len(p.Nodes)))) // no-op listing
 			}
 
-			// Path 1: clone + replay, as the GA's freelist does.
-			spare.CopyFrom(sc)
-			got := spare.Rescore(a, genes)
-			checkAll(t, p, a, got, "CopyFrom+Rescore")
+			// Path 1: the setters one gene at a time, then one flush.
+			for _, g := range genes {
+				if i := g.Index(); g.IsNode() {
+					setters.SetNode(i, a.NodeChannel[i], a.NodeRing[i])
+				} else {
+					setters.SetGWChannels(i, a.GWChannels[i])
+				}
+			}
+			checkAll(t, p, a, setters.Cost(), "SetNode/SetGWChannels+Cost")
 
-			// Path 2: in-place, as the hill-climb does.
+			// Path 2: in-place Rescore, as the hill-climb does.
 			checkAll(t, p, a, sc.Rescore(a, genes), "in-place Rescore")
 		}
 	}
@@ -255,29 +261,27 @@ func deltaMoves(p *Problem, base *Assignment, n int) []struct {
 	return moves
 }
 
-// TestRescoreSteadyStateAllocs pins the warm clone+replay+flush cycle —
-// the GA's inner loop — at zero allocations.
+// TestRescoreSteadyStateAllocs pins the warm re-pricing cycle — apply a
+// move, flush, apply its inverse, flush — at zero allocations.
 func TestRescoreSteadyStateAllocs(t *testing.T) {
 	p, base := benchProblem(1)
 	sc := NewScorer(p)
 	sc.Reset(base)
-	sc.Cost()
-	spare := NewScorer(p)
 	moves := deltaMoves(p, base, 64)
 	// Warm: let every append-backed slice reach its steady capacity.
 	for _, mv := range moves {
-		spare.CopyFrom(sc)
-		spare.Rescore(mv.a, mv.genes)
+		sc.Rescore(mv.a, mv.genes)
+		sc.Rescore(base, mv.genes)
 	}
 	k := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		mv := moves[k%len(moves)]
 		k++
-		spare.CopyFrom(sc)
-		spare.Rescore(mv.a, mv.genes)
+		sc.Rescore(mv.a, mv.genes)
+		sc.Rescore(base, mv.genes)
 	})
 	if allocs != 0 {
-		t.Errorf("warm CopyFrom+Rescore allocates %.1f allocs/op, want 0", allocs)
+		t.Errorf("warm Rescore allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 
@@ -301,20 +305,19 @@ func BenchmarkEvaluateRef(b *testing.B) {
 	}
 }
 
-// BenchmarkRescoreDelta scores the same candidates as clone+replay of a
-// two-gene diff — the incremental path the GA and the hill-climb take.
+// BenchmarkRescoreDelta prices the same candidates incrementally: one op
+// applies a two-gene diff and flushes, then applies its inverse and
+// flushes — the path the hill-climb and the online replanner take.
 func BenchmarkRescoreDelta(b *testing.B) {
 	p, base := benchProblem(1)
 	sc := NewScorer(p)
 	sc.Reset(base)
-	sc.Cost()
-	spare := NewScorer(p)
 	moves := deltaMoves(p, base, 256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mv := moves[i%len(moves)]
-		spare.CopyFrom(sc)
-		_ = spare.Rescore(mv.a, mv.genes)
+		_ = sc.Rescore(mv.a, mv.genes)
+		_ = sc.Rescore(base, mv.genes)
 	}
 }

@@ -87,7 +87,7 @@ func RunAdaptiveDemo(seed int64, plan *faults.Plan, interval des.Time, progress 
 	}
 	inv := faults.Watch(n)
 	inv.WatchInjector(inj)
-	view := adaptive.NewView(n, channels)
+	view := new(adaptive.View)
 	view.WatchFaults(inj)
 
 	ctrls := make([]*adaptive.Controller, len(n.Operators))

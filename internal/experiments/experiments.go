@@ -2,8 +2,8 @@
 // paper's evaluation, reproducing the same rows/series on the simulated
 // substrate. Each experiment is deterministic for a given seed and
 // returns a plain-text table plus headline observations; cmd/alphawan-sim
-// runs them by id and the root bench harness wraps each in a testing.B
-// benchmark.
+// runs them by id, the checked-in goldens pin every table and note at seed
+// 1, and the root BenchmarkExperiment times each one under go test -bench.
 package experiments
 
 import (
@@ -25,17 +25,9 @@ type Result struct {
 	// here, clearly delimited, and the determinism tests ignore it.
 	Sidecar []string
 	// Devices is the total number of simulated end devices, when the
-	// experiment tracks it — the denominator of the bench harness's
-	// devices/sec and bytes/device reporting.
+	// experiment tracks it — the denominator of BenchmarkExperiment's
+	// devices/sec.
 	Devices int
-	// Candidates is the number of CP-solver candidates scored, when the
-	// experiment measures the solver — the numerator of the bench
-	// harness's candidates/sec reporting.
-	Candidates int
-	// SolveNs is the measured CP scoring/solve wall-clock in
-	// nanoseconds, when the experiment measures it. Host-dependent, like
-	// the Sidecar; the determinism tests and baseline dumps ignore it.
-	SolveNs int64
 }
 
 // Note appends a formatted observation.

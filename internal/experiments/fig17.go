@@ -80,7 +80,6 @@ func runFig17(seed int64) *Result {
 		c := aCells[i]
 		res.Table.AddRow(sc.name, c.dist, c.reboot)
 		res.Sidecarf("%s: CP solve %.2f s wall-clock, total %.2f s", sc.name, c.solve, c.solve+c.dist+c.reboot)
-		res.SolveNs += int64(c.solve * 1e9)
 		if sc.users == 4000 {
 			solve4k = c.solve
 		}

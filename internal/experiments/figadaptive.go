@@ -103,7 +103,7 @@ func runAdaptiveCell(seed int64, intensity float64, adapt bool) adaptCell {
 	cell := adaptCell{}
 	var ctrls []*adaptive.Controller
 	if adapt {
-		view := adaptive.NewView(n, channels)
+		view := new(adaptive.View)
 		view.WatchFaults(inj)
 		interval := window / 30
 		if interval < des.Second {

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -23,7 +24,9 @@ var goldenSlow = map[string]bool{
 //
 //	go test -run Golden -update ./internal/experiments/
 //
-// and review the diff.
+// and review the diff. A file in testdata/golden that no registered
+// experiment owns fails too, so a deleted experiment takes its golden
+// with it.
 func TestGolden(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -47,5 +50,15 @@ func TestGolden(t *testing.T) {
 				t.Errorf("%s diverges from %s\n--- got ---\n%s--- want ---\n%s", e.ID, path, got, want)
 			}
 		})
+	}
+	dir := filepath.Join("testdata", "golden")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, ok := Get(strings.TrimSuffix(f.Name(), ".txt")); !ok {
+			t.Errorf("%s belongs to no registered experiment", filepath.Join(dir, f.Name()))
+		}
 	}
 }

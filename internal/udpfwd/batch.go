@@ -18,9 +18,9 @@ import (
 // protocol: one read loop acknowledges datagrams and routes them into
 // per-worker rings; workers drain the rings in batches and parse with the
 // zero-allocation scanner (scan.go), falling back to encoding/json for
-// anything exotic. Unlike the channel-based Bridge, ingest never blocks —
-// a full ring drops the datagram and counts it, so overload shows up in
-// Stats() instead of as silent backpressure on the socket.
+// anything exotic. Ingest never blocks — a full ring drops the datagram
+// and counts it, so overload shows up in Stats() instead of as silent
+// backpressure on the socket.
 //
 // Routing preserves per-device ordering: datagrams are assigned to
 // workers by the DevAddr of their first rxpk (falling back to the gateway
@@ -285,9 +285,11 @@ func (b *BatchBridge) readLoop() {
 			if n < 12 || b.draining.Load() {
 				continue
 			}
+			// Queue before acking, as the batched loop does: a sender that
+			// has its PUSH_ACK may call Drain and lose nothing.
+			b.acceptPush(buf[:n])
 			ack[1], ack[2], ack[3] = buf[1], buf[2], byte(PushAck)
 			b.conn.WriteToUDPAddrPort(ack[:], from)
-			b.acceptPush(buf[:n])
 		case PullData:
 			if n < 12 {
 				continue

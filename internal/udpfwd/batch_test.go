@@ -41,6 +41,15 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// hasPullPath reports whether the gateway's PULL_DATA has registered its
+// downlink address.
+func (b *BatchBridge) hasPullPath(eui EUI) bool {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	_, ok := b.pullAddr[eui]
+	return ok
+}
+
 func testRXPK(fcnt byte) RXPK {
 	// A syntactically valid PHYPayload header: MType data-up, DevAddr
 	// 0x01020304, FCnt fcnt (the bridge never verifies the MIC — the
@@ -138,12 +147,7 @@ func TestBatchBridgeDownlinkFlush(t *testing.T) {
 		t.Error("downlink to unknown gateway must fail")
 	}
 
-	waitFor(t, "PULL_DATA registration", func() bool {
-		b.mu.RLock()
-		_, ok := b.pullAddr[0x1111]
-		b.mu.RUnlock()
-		return ok
-	})
+	waitFor(t, "PULL_DATA registration", func() bool { return b.hasPullPath(0x1111) })
 	tx := TXPK{Freq: 923.2, Powe: 14, Modu: "LORA", Datr: "SF9BW125", Data: EncodeData([]byte{0x60, 1})}
 	if err := b.SendDownlink(0x1111, tx); err != nil {
 		t.Fatal(err)
@@ -398,35 +402,6 @@ func BenchmarkBatchProcessDatagram(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkLegacyProcessDatagram(b *testing.B) {
-	// The same datagram through the legacy Unmarshal path, for the
-	// BENCH comparison narrative.
-	p := Packet{Type: PushData, Token: 1, EUI: 0x42, RXPKs: []RXPK{testRXPK(0)}}
-	wire, err := p.Marshal()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sink int
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pkt, err := Unmarshal(wire)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, rx := range pkt.RXPKs {
-			raw, err := DecodeData(rx.Data)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := ParseDatr(rx.Datr); err != nil {
-				b.Fatal(err)
-			}
-			sink += len(raw)
-		}
-	}
-	_ = sink
-}
-
 // TestBatchBridgeDrainUplinks checks the phased-shutdown contract:
 // DrainUplinks finishes everything queued and stops accepting, but the
 // socket survives it — downlinks still reach the gateway and their
@@ -458,12 +433,7 @@ func TestBatchBridgeDrainUplinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "uplink handled", func() bool { return c.count() == 1 })
-	waitFor(t, "PULL_DATA registration", func() bool {
-		b.mu.RLock()
-		_, ok := b.pullAddr[0x2222]
-		b.mu.RUnlock()
-		return ok
-	})
+	waitFor(t, "PULL_DATA registration", func() bool { return b.hasPullPath(0x2222) })
 
 	b.DrainUplinks()
 
@@ -522,12 +492,7 @@ func TestBatchBridgePortableLoop(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 
-	waitFor(t, "PULL_DATA registration", func() bool {
-		b.mu.RLock()
-		_, ok := b.pullAddr[0x3333]
-		b.mu.RUnlock()
-		return ok
-	})
+	waitFor(t, "PULL_DATA registration", func() bool { return b.hasPullPath(0x3333) })
 	tx := TXPK{Freq: 923.2, Powe: 14, Modu: "LORA", Datr: "SF9BW125", Data: EncodeData([]byte{0x60, 3})}
 	if err := b.SendDownlink(0x3333, tx); err != nil {
 		t.Fatal(err)

@@ -1,154 +1,11 @@
 package udpfwd
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 )
-
-// Uplink is one received PUSH_DATA delivered by the bridge.
-type Uplink struct {
-	EUI  EUI
-	RXPK RXPK
-}
-
-// Bridge is the network-server side of the packet-forwarder protocol: it
-// listens on UDP, acknowledges PUSH_DATA/PULL_DATA, tracks each gateway's
-// downlink address, and delivers uplinks on a channel.
-type Bridge struct {
-	conn *net.UDPConn
-
-	mu sync.Mutex
-	// pullAddr maps a gateway EUI to the source address of its most
-	// recent PULL_DATA (where PULL_RESP downlinks must be sent).
-	pullAddr map[EUI]*net.UDPAddr
-	stats    map[EUI]*Stat
-
-	uplinks chan Uplink
-	closed  chan struct{}
-	once    sync.Once
-}
-
-// NewBridge listens on the UDP address (":1700" for the standard port,
-// "127.0.0.1:0" for tests).
-func NewBridge(addr string) (*Bridge, error) {
-	ua, err := net.ResolveUDPAddr("udp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("udpfwd: %w", err)
-	}
-	conn, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		return nil, fmt.Errorf("udpfwd: %w", err)
-	}
-	b := &Bridge{
-		conn:     conn,
-		pullAddr: make(map[EUI]*net.UDPAddr),
-		stats:    make(map[EUI]*Stat),
-		uplinks:  make(chan Uplink, 1024),
-		closed:   make(chan struct{}),
-	}
-	go b.readLoop()
-	return b, nil
-}
-
-// Addr returns the bridge's bound UDP address.
-func (b *Bridge) Addr() *net.UDPAddr { return b.conn.LocalAddr().(*net.UDPAddr) }
-
-// Uplinks returns the channel of received uplinks. The channel closes when
-// the bridge shuts down.
-func (b *Bridge) Uplinks() <-chan Uplink { return b.uplinks }
-
-// Close shuts the bridge down.
-func (b *Bridge) Close() error {
-	b.once.Do(func() { close(b.closed) })
-	return b.conn.Close()
-}
-
-func (b *Bridge) readLoop() {
-	defer close(b.uplinks)
-	buf := make([]byte, 65536)
-	for {
-		n, from, err := b.conn.ReadFromUDP(buf)
-		if err != nil {
-			select {
-			case <-b.closed:
-				return
-			default:
-			}
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			continue // transient error: keep serving
-		}
-		p, err := Unmarshal(buf[:n])
-		if err != nil {
-			continue // malformed datagram from an unknown peer
-		}
-		switch p.Type {
-		case PushData:
-			ack := Packet{Type: PushAck, Token: p.Token}
-			b.send(&ack, from)
-			if p.Status != nil {
-				b.mu.Lock()
-				st := *p.Status
-				b.stats[p.EUI] = &st
-				b.mu.Unlock()
-			}
-			for _, rx := range p.RXPKs {
-				select {
-				case b.uplinks <- Uplink{EUI: p.EUI, RXPK: rx}:
-				case <-b.closed:
-					return
-				}
-			}
-		case PullData:
-			b.mu.Lock()
-			b.pullAddr[p.EUI] = from
-			b.mu.Unlock()
-			ack := Packet{Type: PullAck, Token: p.Token}
-			b.send(&ack, from)
-		}
-	}
-}
-
-func (b *Bridge) send(p *Packet, to *net.UDPAddr) {
-	raw, err := p.Marshal()
-	if err != nil {
-		return
-	}
-	b.conn.WriteToUDP(raw, to)
-}
-
-// SendDownlink issues a PULL_RESP to the gateway, using the address from
-// its latest PULL_DATA. It fails if the gateway has not opened the
-// downlink path yet.
-func (b *Bridge) SendDownlink(eui EUI, tx TXPK) error {
-	b.mu.Lock()
-	addr := b.pullAddr[eui]
-	b.mu.Unlock()
-	if addr == nil {
-		return fmt.Errorf("udpfwd: gateway %v has no downlink path (no PULL_DATA seen)", eui)
-	}
-	p := Packet{Type: PullResp, Token: 0, TX: &tx}
-	raw, err := p.Marshal()
-	if err != nil {
-		return err
-	}
-	_, err = b.conn.WriteToUDP(raw, addr)
-	return err
-}
-
-// GatewayStat returns the latest status report from a gateway.
-func (b *Bridge) GatewayStat(eui EUI) (Stat, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if s := b.stats[eui]; s != nil {
-		return *s, true
-	}
-	return Stat{}, false
-}
 
 // Forwarder is the gateway side: it pushes uplinks to the server with
 // acknowledged retransmission and keeps the downlink path open with

@@ -8,11 +8,11 @@ import (
 
 // Zero-allocation scanning of PUSH_DATA JSON bodies.
 //
-// encoding/json dominates the per-packet CPU budget of the legacy bridge:
-// one Unmarshal per datagram costs several microseconds and a dozen heap
-// allocations. The wire bodies the live stack actually sees are a tiny,
+// Parsed with encoding/json, a PUSH_DATA costs several microseconds and
+// a dozen heap allocations per datagram — most of a bridge's per-packet
+// CPU budget. The wire bodies the live stack actually sees are a tiny,
 // regular subset of JSON — `{"rxpk":[{...},...]}` with flat scalar fields
-// — so the batched path scans them in place: field values are parsed
+// — so the bridge scans them in place: field values are parsed
 // directly out of the body buffer into a caller-owned rxpkView, strings
 // stay as sub-slices, and nothing escapes to the heap.
 //

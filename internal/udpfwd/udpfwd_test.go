@@ -133,72 +133,84 @@ func TestDatrRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBridgeForwarderEndToEnd exercises the real UDP path: uplink push
-// with ack, keepalive, and a downlink response.
-func TestBridgeForwarderEndToEnd(t *testing.T) {
-	bridge, err := NewBridge("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bridge.Close()
-
-	fwd, err := NewForwarder(0x0102030405060708, bridge.Addr().String(), 50*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fwd.Close()
-
-	// Uplink with acknowledgment.
-	rx := RXPK{Tmst: 1, Freq: 923.2, Modu: "LORA", Datr: "SF7BW125",
-		CodR: "4/5", Stat: 1, RSSI: -80, LSNR: 7, Size: 5, Data: EncodeData([]byte("ping!"))}
-	if err := fwd.Push([]RXPK{rx}, &Stat{RXNb: 1, RXOK: 1}); err != nil {
-		t.Fatalf("push: %v", err)
-	}
-	select {
-	case up := <-bridge.Uplinks():
-		if up.EUI != 0x0102030405060708 || up.RXPK.Datr != "SF7BW125" {
-			t.Errorf("uplink = %+v", up)
+// eachLoop runs fn against a fresh BatchBridge on both ingest loops: the
+// platform's batched one (recvmmsg where available) and the portable
+// per-datagram fallback.
+func eachLoop(t *testing.T, fn func(t *testing.T, b *BatchBridge, c *collector)) {
+	for _, portable := range []bool{false, true} {
+		name := "batched"
+		if portable {
+			name = "portable"
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("bridge never delivered the uplink")
-	}
-
-	// Status report recorded.
-	if st, ok := bridge.GatewayStat(0x0102030405060708); !ok || st.RXNb != 1 {
-		t.Errorf("stat = %+v, %v", st, ok)
-	}
-
-	// Downlink: wait for the keepalive to open the path, then respond.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		err = bridge.SendDownlink(0x0102030405060708, TXPK{
-			Imme: true, Freq: 923.4, Powe: 14, Modu: "LORA",
-			Datr: "SF9BW125", CodR: "4/5", Size: 4, Data: EncodeData([]byte("pong")),
+		t.Run(name, func(t *testing.T) {
+			c := &collector{}
+			b, err := NewBatchBridge("127.0.0.1:0",
+				Options{Workers: 2, Handler: c.handle, forcePortable: portable})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			fn(t, b, c)
 		})
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("downlink: %v", err)
-	}
-	select {
-	case tx := <-fwd.Downlinks():
-		if tx.Datr != "SF9BW125" {
-			t.Errorf("downlink = %+v", tx)
-		}
-		data, _ := DecodeData(tx.Data)
-		if string(data) != "pong" {
-			t.Errorf("downlink data = %q", data)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("forwarder never received the downlink")
 	}
 }
 
+// TestBridgeForwarderEndToEnd exercises the real UDP path: uplink push
+// with ack, status report, keepalive, and a downlink response.
+func TestBridgeForwarderEndToEnd(t *testing.T) {
+	eachLoop(t, func(t *testing.T, bridge *BatchBridge, c *collector) {
+		fwd, err := NewForwarder(0x0102030405060708, bridge.Addr().String(), 50*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fwd.Close()
+
+		// Uplink with acknowledgment.
+		if err := fwd.Push([]RXPK{testRXPK(1)}, &Stat{RXNb: 1, RXOK: 1}); err != nil {
+			t.Fatalf("push: %v", err)
+		}
+		waitFor(t, "the uplink", func() bool { return c.count() == 1 })
+		if up := c.frames[0]; up.EUI != 0x0102030405060708 || up.DR != lora.DRFromSF(9) {
+			t.Errorf("uplink = %+v", up)
+		}
+
+		// Status report recorded.
+		if st, ok := bridge.GatewayStat(0x0102030405060708); !ok || st.RXNb != 1 {
+			t.Errorf("stat = %+v, %v", st, ok)
+		}
+
+		// Downlink: wait for the keepalive to open the path, then respond.
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			err = bridge.SendDownlink(0x0102030405060708, TXPK{
+				Imme: true, Freq: 923.4, Powe: 14, Modu: "LORA",
+				Datr: "SF9BW125", CodR: "4/5", Size: 4, Data: EncodeData([]byte("pong")),
+			})
+			if err == nil || time.Now().After(deadline) {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if err != nil {
+			t.Fatalf("downlink: %v", err)
+		}
+		select {
+		case tx := <-fwd.Downlinks():
+			if tx.Datr != "SF9BW125" {
+				t.Errorf("downlink = %+v", tx)
+			}
+			data, _ := DecodeData(tx.Data)
+			if string(data) != "pong" {
+				t.Errorf("downlink data = %q", data)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("forwarder never received the downlink")
+		}
+	})
+}
+
 func TestDownlinkWithoutPullPathFails(t *testing.T) {
-	bridge, err := NewBridge("127.0.0.1:0")
+	bridge, err := NewBatchBridge("127.0.0.1:0", Options{Handler: func(*UplinkFrame) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
