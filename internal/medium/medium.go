@@ -392,7 +392,7 @@ func (m *Medium) rxSNR(tx *Transmission, p *Port) (rssi, snr float64) {
 		// shadowing plus the port antenna's gain toward the transmitter.
 		p.gains[i] = linkGain{
 			pl:  m.env.PathLoss(tx.Pos, p.Pos),
-			ant: p.Antenna.Gain(p.Pos.Bearing(tx.Pos)),
+			ant: p.Antenna.GainToward(p.Pos, tx.Pos),
 		}
 		p.gainOK[i] = true
 	}

@@ -208,6 +208,16 @@ func (a Antenna) Gain(bearingRad float64) float64 {
 	return a.GainDBi - att
 }
 
+// GainToward returns the gain of an antenna sited at rx toward a
+// transmitter at tx: Gain(rx.Bearing(tx)), without the atan2 when the
+// pattern is omnidirectional and would ignore the bearing.
+func (a Antenna) GainToward(rx, tx Point) float64 {
+	if !a.Directional {
+		return a.GainDBi
+	}
+	return a.Gain(rx.Bearing(tx))
+}
+
 func angleDiff(a, b float64) float64 {
 	d := math.Mod(a-b, 2*math.Pi)
 	if d > math.Pi {
@@ -229,8 +239,7 @@ type Link struct {
 
 // RXPowerDBm returns the received power at the gateway.
 func (e Environment) RXPowerDBm(l Link) float64 {
-	g := l.RXAntenna.Gain(l.RXPos.Bearing(l.TXPos))
-	return l.TXPowerDBm - e.PathLoss(l.TXPos, l.RXPos) + g
+	return l.TXPowerDBm - e.PathLoss(l.TXPos, l.RXPos) + l.RXAntenna.GainToward(l.RXPos, l.TXPos)
 }
 
 // SNRdB returns the received SNR over a 125 kHz channel.

@@ -94,6 +94,22 @@ func TestOmniGainIsotropic(t *testing.T) {
 			t.Errorf("omni gain at bearing %v = %v, want 3", b, a.Gain(b))
 		}
 	}
+	assertGainTowardMatchesGain(t, a)
+}
+
+// assertGainTowardMatchesGain holds GainToward to the bits of
+// Gain(rx.Bearing(tx)) for transmitters all around the antenna.
+func assertGainTowardMatchesGain(t *testing.T, a Antenna) {
+	t.Helper()
+	rx := Pt(700, -300)
+	for k := 0; k < 64; k++ {
+		ang := 2 * math.Pi * float64(k) / 64
+		tx := Pt(rx.X+850*math.Cos(ang), rx.Y+850*math.Sin(ang))
+		got, want := a.GainToward(rx, tx), a.Gain(rx.Bearing(tx))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("GainToward(%v, %v) = %v, Gain(Bearing) = %v", rx, tx, got, want)
+		}
+	}
 }
 
 func TestDirectionalPattern(t *testing.T) {
@@ -116,6 +132,8 @@ func TestDirectionalPattern(t *testing.T) {
 	if att < 14 || att > 40 {
 		t.Errorf("90° attenuation = %v, want within the measured 14–40 dB band", att)
 	}
+	assertGainTowardMatchesGain(t, a)
+	assertGainTowardMatchesGain(t, Directional12dBi(2.5))
 }
 
 // TestDirectionalStillReceives reproduces the Figure 7 conclusion: even

@@ -14,8 +14,9 @@ import (
 // Arena holds every device's hot-path state as dense parallel slices —
 // the struct-of-arrays layout that replaces one heap-allocated node.Node
 // per device. A device is an index; all slices share that index. The
-// layout costs ≈70 bytes per device, so a million-device city fits in a
-// few tens of megabytes of flat, GC-invisible arrays.
+// fields sum to 75 bytes per device (≈87 resident with append slack — the
+// benchmark's soa.bytes_per_device), so a million-device city fits in
+// under a hundred megabytes of flat, GC-invisible arrays.
 //
 // node.Node stays the reference implementation for the join/crypto flows
 // the arena deliberately omits: an OTAA population joins through real

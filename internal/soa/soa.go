@@ -4,7 +4,7 @@
 // around the actual structure of massive LoRaWAN workloads:
 //
 //   - Device state lives in dense parallel slices (Arena), not one heap
-//     object per device — ≈70 B/device, invisible to the GC.
+//     object per device — 75 B/device, invisible to the GC.
 //   - The metro area is partitioned into square grid cells. Each cell
 //     owns the gateways inside it, a frequency-bin interest index over
 //     their channels, and its own event queue; cells are swept in
@@ -16,9 +16,10 @@
 //
 // The decode decision is medium.Judgement, the kernel internal/medium
 // itself calls; this package supplies its own neighbour walk over the
-// cell tables and its own port bookkeeping (link budget, detection
-// threshold, decoder FCFS), and TestEnginesAgreeOnVerdicts holds the two
-// engines to the same verdict for every packet of a shared schedule. One
+// cell tables and its own port bookkeeping (link budget — each evaluated
+// at most once per cell, see Core.link — detection threshold, decoder
+// FCFS), and TestEnginesAgreeOnVerdicts holds the two engines to the same
+// verdict for every packet of a shared schedule. One
 // deliberate deviation: interferers whose received power is below
 // InterferenceFloorDBm are excluded from the judgement everywhere (medium
 // folds them into the noise integral no matter how faint). That explicit
@@ -112,8 +113,10 @@ type portState struct {
 	net      uint8
 	sync     uint8
 	decoders int32
-	cell     int32
-	chans    []int32
+	// cell is the owning grid cell; slot is the port's index within that
+	// cell's ports — its column in the cell's link-budget memo.
+	cell, slot int32
+	chans      []int32
 	// detect[ch] reports whether this port's radio detects chanTab[ch]
 	// (best overlap ≥ radio.DetectOverlapThreshold) — the precomputed
 	// radio.Detects.
@@ -138,6 +141,10 @@ type cellState struct {
 	store []txRec
 	bins  [][]int32
 	heap  []swEvent
+	// rssi is the link-budget memo, parallel to store: row ti holds
+	// store[ti]'s received power at each of the cell's own ports (one
+	// column per portState.slot), NaN until Core.link first needs it.
+	rssi []float64
 	// queue is the epoch's incoming transmissions (start-ordered).
 	queue []txRec
 	// contribs is the epoch's outcome contributions, merged serially
@@ -188,6 +195,11 @@ type Core struct {
 	maxAntGain float64
 	noiseDBm   float64
 	noiseLin   float64
+	// floorR2 and lockR2[dr] are the squared distances beyond which no
+	// link of this run can deliver InterferenceFloorDBm, respectively
+	// lock on at the DR's demodulation floor (see gate2).
+	floorR2 float64
+	lockR2  [lora.NumDRs]float64
 
 	// Run state.
 	now       des.Time
@@ -196,10 +208,14 @@ type Core struct {
 	pend      []pendRec
 	sendBufs  [][]sendRec
 	sends     []sendRec
-	// genT1 carries the epoch horizon into genShard; genFn is the cached
-	// closure handed to the runner (see genEpoch).
-	genT1 des.Time
-	genFn func(int)
+	// genT1 and sweepT1 carry the epoch horizon into genShard and
+	// sweepShard; genFn and sweepFn are the cached closures handed to the
+	// runner (see genEpoch).
+	genT1, sweepT1 des.Time
+	genFn, sweepFn func(int)
+	// onBudget, when set (tests and benchmarks only), observes every
+	// link-budget evaluation: store[ti] of cell cs at port p.
+	onBudget func(cs *cellState, ti int32, p *portState)
 
 	stats  []metrics.NetworkStats
 	seen   []bool
@@ -285,14 +301,14 @@ func (c *Core) cellIndex(x, y float64) int32 {
 }
 
 // reachRadius returns the distance beyond which no transmission in this
-// run can deliver InterferenceFloorDBm at any port, on the best-case
-// budget: max device power, max antenna gain, max shadowing (which
+// run can deliver floorDBm at any port, on the best-case budget: max
+// device power, max antenna gain, max shadowing (which
 // phy.Environment.MaxShadowDB bounds — tightly when ShadowClamp is set).
-func (c *Core) reachRadius() float64 {
+func (c *Core) reachRadius(floorDBm float64) float64 {
 	if len(c.devs.X) == 0 {
 		return 0
 	}
-	budget := c.maxPower + c.maxAntGain + c.cfg.Env.MaxShadowDB() - InterferenceFloorDBm
+	budget := c.maxPower + c.maxAntGain + c.cfg.Env.MaxShadowDB() - floorDBm
 	e := c.cfg.Env
 	if e.Exponent <= 0 {
 		return math.Inf(1)
@@ -302,6 +318,14 @@ func (c *Core) reachRadius() float64 {
 		r = e.D0
 	}
 	return r
+}
+
+// gate2 squares a reach radius for Core.link's distance gates, inflated by
+// a relative 1e-9 first: the gate compares dx²+dy² where the budget takes
+// math.Hypot, and that rounding may only err towards evaluating the link.
+func gate2(r float64) float64 {
+	r *= 1 + 1e-9
+	return r * r
 }
 
 // rectDist returns the minimum distance between two grid-cell rectangles.
@@ -393,6 +417,7 @@ func (c *Core) Seal() {
 		}
 		p.cell = c.cellIndex(p.pos.X, p.pos.Y)
 		cs := &c.cells[p.cell]
+		p.slot = int32(len(cs.ports))
 		cs.ports = append(cs.ports, int32(i))
 		if cs.interest == nil {
 			cs.interest = make([][]int32, c.nbins)
@@ -432,7 +457,11 @@ func (c *Core) Seal() {
 	// Cross-cell reachability: cell b is a target of cell a when the
 	// closest approach of their rectangles is within the worst-case
 	// interference reach.
-	r := c.reachRadius()
+	r := c.reachRadius(InterferenceFloorDBm)
+	c.floorR2 = gate2(r)
+	for d := range c.lockR2 {
+		c.lockR2[d] = gate2(c.reachRadius(c.noiseDBm + c.demod[d]))
+	}
 	cs := c.cfg.CellSize
 	c.targets = make([][]int32, len(c.cells))
 	for a := range c.cells {

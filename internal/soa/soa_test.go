@@ -33,7 +33,7 @@ func townMAC(seed int64, kind mac.Kind) (*mac.SlotGrid, mac.CaptureModel) {
 // gateway grids per operator on interleaved channel plans, devices
 // low-discrepancy-scattered with mixed DRs. cellSize and epoch select
 // the sharding shape under test; kind selects the MAC strategy.
-func buildTown(t *testing.T, seed int64, cellSize float64, epoch des.Time, cic bool, kind mac.Kind) *Core {
+func buildTown(t testing.TB, seed int64, cellSize float64, epoch des.Time, cic bool, kind mac.Kind) *Core {
 	t.Helper()
 	const side = 3000.0
 	slots, capture := townMAC(seed, kind)
@@ -151,6 +151,37 @@ func TestGenEpochSteadyStateZeroAllocs(t *testing.T) {
 			}
 			if avg := testing.AllocsPerRun(10, step); avg != 0 {
 				t.Errorf("genEpoch allocates %.1f times per epoch at steady state, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestSweepEpochSteadyStateZeroAllocs extends the guard to the whole epoch:
+// once the send buffers, cell stores, link-budget memo tables, event heaps
+// and the pending window have reached the workload's high-water mark,
+// generating and sweeping an epoch on one worker must not allocate — in
+// particular sweepEpoch hands the runner its cached closure, not a fresh
+// literal boxing the horizon.
+func TestSweepEpochSteadyStateZeroAllocs(t *testing.T) {
+	for _, cic := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cic=%v", cic), func(t *testing.T) {
+			prev := runner.SetMaxWorkers(1)
+			defer runner.SetMaxWorkers(prev)
+			c := buildTown(t, 1, 4000, 10*des.Second, cic, mac.KindPure)
+			t1 := des.Time(0)
+			step := func() {
+				t1 += 10 * des.Second
+				c.genEpoch(t1)
+				c.processEpoch(t1)
+			}
+			for i := 0; i < 30; i++ { // warm the buffers to steady state
+				step()
+			}
+			if c.gidNext == 0 || len(c.cells[0].rssi) == 0 {
+				t.Fatal("degenerate workload: nothing swept")
+			}
+			if avg := testing.AllocsPerRun(10, step); avg != 0 {
+				t.Errorf("an epoch allocates %.1f times at steady state, want 0", avg)
 			}
 		})
 	}

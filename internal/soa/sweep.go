@@ -233,7 +233,11 @@ func (c *Core) sweepEpoch(t1 des.Time) {
 		}
 	}
 
-	runner.RunCells(len(c.cells), func(i int) { c.sweepCell(&c.cells[i], t1) })
+	c.sweepT1 = t1
+	if c.sweepFn == nil {
+		c.sweepFn = c.sweepShard // cached for the same reason as genFn
+	}
+	runner.RunCells(len(c.cells), c.sweepFn)
 
 	// Deterministic serial merge: cells ascending; the fold itself
 	// (delivery count + min precedence) is commutative anyway.
@@ -251,6 +255,10 @@ func (c *Core) sweepEpoch(t1 des.Time) {
 		cell.queue = cell.queue[:0]
 	}
 }
+
+// sweepShard sweeps one cell to the c.sweepT1 horizon — the parallel body
+// of sweepEpoch.
+func (c *Core) sweepShard(i int) { c.sweepCell(&c.cells[i], c.sweepT1) }
 
 // finalize accumulates every pending transmission whose decode-end has
 // passed (end < t1 — all its events have been swept) into the run stats,
@@ -317,7 +325,30 @@ func (c *Core) sweepCell(cs *cellState, t1 des.Time) {
 // minus path loss plus the port antenna's gain toward the device.
 func (c *Core) rssiAt(dev int32, p *portState) float64 {
 	pos := phy.Point{X: c.devs.X[dev], Y: c.devs.Y[dev]}
-	return c.devs.Power[dev] - c.cfg.Env.PathLoss(pos, p.pos) + p.ant.Gain(p.pos.Bearing(pos))
+	return c.devs.Power[dev] - c.cfg.Env.PathLoss(pos, p.pos) + p.ant.GainToward(p.pos, pos)
+}
+
+// link returns store[ti]'s received power at port p of cell cs, or -Inf
+// when the device lies beyond reach2 — c.floorR2 or c.lockR2[dr], squared
+// radii past which no shadow draw lifts a link over the floor the caller
+// is about to compare against, so the gate changes no verdict. Links are
+// static for the run: each is budgeted at most once, into the cell's memo,
+// and a memo hit never touches the arena.
+func (c *Core) link(cs *cellState, ti int32, p *portState, reach2 float64) float64 {
+	m := &cs.rssi[int(ti)*len(cs.ports)+int(p.slot)]
+	if !math.IsNaN(*m) {
+		return *m
+	}
+	dev := cs.store[ti].dev
+	dx, dy := c.devs.X[dev]-p.pos.X, c.devs.Y[dev]-p.pos.Y
+	if dx*dx+dy*dy > reach2 {
+		return math.Inf(-1)
+	}
+	*m = c.rssiAt(dev, p)
+	if c.onBudget != nil {
+		c.onBudget(cs, ti, p)
+	}
+	return *m
 }
 
 // insertTx registers a transmission in the cell's active store and bin
@@ -328,6 +359,9 @@ func (c *Core) rssiAt(dev int32, p *portState) float64 {
 func (c *Core) insertTx(cs *cellState, t txRec) {
 	ti := int32(len(cs.store))
 	cs.store = append(cs.store, t)
+	for range cs.ports {
+		cs.rssi = append(cs.rssi, math.NaN())
+	}
 	b := c.chanBinIdx[t.ch]
 	cs.bins[b] = append(cs.bins[b], ti)
 	for _, pi := range cs.interest[b] {
@@ -335,7 +369,7 @@ func (c *Core) insertTx(cs *cellState, t txRec) {
 		if !p.detect[t.ch] {
 			continue
 		}
-		rssi := c.rssiAt(t.dev, p)
+		rssi := c.link(cs, ti, p, c.lockR2[t.dr])
 		if rssi-c.noiseDBm < c.demod[t.dr] {
 			continue
 		}
@@ -392,9 +426,9 @@ func (cs *cellState) emit(gid int64, code uint8) {
 // scanNeighbors visits the cell's active transmissions within ±1
 // frequency bin of binIdx whose start lies in [winStart-maxAir, until),
 // in (bin, start, gid) order — the same candidate walk medium.neighbors
-// performs, with the same binary-search airtime cutoff. fn returns false
-// to stop the whole scan.
-func (c *Core) scanNeighbors(cs *cellState, binIdx int32, winStart, until des.Time, fn func(u *txRec) bool) {
+// performs, with the same binary-search airtime cutoff. fn also receives
+// the transmission's store index and returns false to stop the whole scan.
+func (c *Core) scanNeighbors(cs *cellState, binIdx int32, winStart, until des.Time, fn func(ui int32, u *txRec) bool) {
 	lo := winStart - c.maxAir
 	for db := int32(-1); db <= 1; db++ {
 		b := binIdx + db
@@ -408,7 +442,7 @@ func (c *Core) scanNeighbors(cs *cellState, binIdx int32, winStart, until des.Ti
 			if u.start >= until {
 				break
 			}
-			if !fn(u) {
+			if !fn(list[i], u) {
 				return
 			}
 		}
@@ -417,18 +451,19 @@ func (c *Core) scanNeighbors(cs *cellState, binIdx int32, winStart, until des.Ti
 
 // buriedBy reports whether t's preamble at port p is masked by a
 // same-settings transmission strong enough to bury it, and that
-// transmission's network. The interference floor gate cannot change the
-// verdict here — a burying interferer is ≥6 dB above a demod-floor
-// victim, far over the floor — it only skips link-budget evaluations.
+// transmission's network. The interference floor cannot change the verdict
+// here — a burying interferer is ≥6 dB above a demod-floor victim, far
+// over the floor — it only lets link's distance gate skip the budgets of
+// interferers too far away to matter.
 func (c *Core) buriedBy(cs *cellState, t *txRec, p *portState, rssiV float64) (uNet uint8, buried bool) {
-	c.scanNeighbors(cs, c.chanBinIdx[t.ch], t.start, t.lockOn, func(u *txRec) bool {
+	c.scanNeighbors(cs, c.chanBinIdx[t.ch], t.start, t.lockOn, func(ui int32, u *txRec) bool {
 		if u.gid == t.gid || u.dr != t.dr || u.end <= t.start {
 			return true
 		}
 		if c.ov[t.ch][u.ch] < medium.SameSettingsOverlap {
 			return true
 		}
-		rssiU := c.rssiAt(u.dev, p)
+		rssiU := c.link(cs, ui, p, c.floorR2)
 		if rssiU < InterferenceFloorDBm || !medium.Buries(rssiU, rssiV) {
 			return true
 		}
@@ -447,7 +482,7 @@ func (c *Core) buriedBy(cs *cellState, t *txRec, p *portState, rssiV float64) (u
 func (c *Core) judge(cs *cellState, t *txRec, p *portState, rssiV float64) (v radio.DecodeVerdict, inter bool) {
 	j := &cs.judgement
 	j.Begin(c.rule, rssiV)
-	c.scanNeighbors(cs, c.chanBinIdx[t.ch], t.start, t.end, func(u *txRec) bool {
+	c.scanNeighbors(cs, c.chanBinIdx[t.ch], t.start, t.end, func(ui int32, u *txRec) bool {
 		if u.gid == t.gid || u.end <= t.start {
 			return true
 		}
@@ -455,7 +490,7 @@ func (c *Core) judge(cs *cellState, t *txRec, p *portState, rssiV float64) (v ra
 		if ov <= 0 {
 			return true
 		}
-		rssiU := c.rssiAt(u.dev, p)
+		rssiU := c.link(cs, ui, p, c.floorR2)
 		if rssiU < InterferenceFloorDBm {
 			return true
 		}
@@ -483,12 +518,13 @@ func (c *Core) compactCell(cs *cellState, t1 des.Time) {
 	for len(cs.remap) < len(cs.store) {
 		cs.remap = append(cs.remap, 0)
 	}
-	n := 0
+	n, np := 0, len(cs.ports)
 	for i := range cs.store {
 		if cs.store[i].end > cutoff {
 			cs.remap[i] = int32(n)
 			if n != i {
 				cs.store[n] = cs.store[i]
+				copy(cs.rssi[n*np:(n+1)*np], cs.rssi[i*np:(i+1)*np])
 			}
 			n++
 		} else {
@@ -499,6 +535,7 @@ func (c *Core) compactCell(cs *cellState, t1 des.Time) {
 		return
 	}
 	cs.store = cs.store[:n]
+	cs.rssi = cs.rssi[:n*np]
 	for b := range cs.bins {
 		list := cs.bins[b]
 		k := 0
