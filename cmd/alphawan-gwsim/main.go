@@ -14,8 +14,6 @@
 // RF-chain centers and IF offsets, PUSH_DATA batches are bounded by the
 // HAL's per-poll demodulation fetch (MAX_RX_PKT), and PULL_RESP downlinks
 // are validated against the profile's RX1 channels and RX2 SF12 window.
-// -chipset legacy keeps the original behaviour: AS923 standard plans and
-// one rxpk per datagram.
 package main
 
 import (
@@ -25,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/alphawan/alphawan/internal/baseline"
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/gateway"
 	"github.com/alphawan/alphawan/internal/lora"
@@ -52,7 +49,7 @@ type downlinkStats struct {
 }
 
 func chipsetNames() string {
-	names := []string{"legacy"}
+	var names []string
 	for _, fe := range radio.FrontEnds {
 		names = append(names, fe.Name)
 	}
@@ -77,13 +74,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var fe radio.FrontEnd
-	legacy := *chipset == "legacy"
-	if !legacy {
-		var ok bool
-		if fe, ok = radio.FrontEndByName(*chipset); !ok {
-			log.Fatalf("unknown -chipset %q (want one of: %s)", *chipset, chipsetNames())
-		}
+	fe, ok := radio.FrontEndByName(*chipset)
+	if !ok {
+		log.Fatalf("unknown -chipset %q (want one of: %s)", *chipset, chipsetNames())
 	}
 
 	env := phy.Urban(*seed)
@@ -91,27 +84,15 @@ func main() {
 	sim := des.New(*seed)
 	med := medium.New(sim, env)
 
-	// Gateways: each with a UDP forwarder toward the server. Front-end
-	// mode derives every gateway's channel plan from the profile's radios
-	// and IF chains; legacy mode keeps the AS923 standard plans.
-	var cfgs []radio.Config
-	var model radio.GatewayModel
-	if legacy {
-		cfgs = baseline.StandardConfigs(region.AS923, *gateways, lora.SyncPublic)
-		model = radio.Models[3]
-	} else {
-		cfg, err := fe.Config(lora.SyncPublic)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i := 0; i < *gateways; i++ {
-			cfgs = append(cfgs, cfg)
-		}
-		model = fe.Model()
+	// Gateways: each with a UDP forwarder toward the server, all on the
+	// channel plan the profile's radios and IF chains give.
+	cfg, err := fe.Config(lora.SyncPublic)
+	if err != nil {
+		log.Fatal(err)
 	}
 	var dl downlinkStats
 	for i := 0; i < *gateways; i++ {
-		gw, err := gateway.New(sim, med, i, model, phy.Pt(float64(i)*10, 0), phy.Antenna{}, cfgs[i])
+		gw, err := gateway.New(sim, med, i, fe.Model(), phy.Pt(float64(i)*10, 0), phy.Antenna{}, cfg)
 		if err != nil {
 			log.Fatalf("gateway %d: %v", i, err)
 		}
@@ -130,10 +111,6 @@ func main() {
 		// would eventually stall PUSH_ACK processing.
 		go func(id int) {
 			for tx := range fwd.Downlinks() {
-				if legacy {
-					dl.rx1.Add(1)
-					continue
-				}
 				hz := region.Hz(tx.Freq*1e6 + 0.5)
 				dr, err := udpfwd.ParseDatr(tx.Datr)
 				if err != nil {
@@ -153,16 +130,13 @@ func main() {
 				}
 			}
 		}(i)
-		gwUplinks(sim, gw, fwd, legacy, fe)
+		gwUplinks(sim, gw, fwd, fe)
 	}
 
 	// Devices: node ids start at 1 so the derived DevAddrs and session
 	// keys line up with alphawan-server's deterministic provisioning.
 	// Devices transmit on the channels the fleet's front end monitors.
-	channels := region.AS923.AllChannels()
-	if !legacy {
-		channels = fe.Channels()
-	}
+	channels := fe.Channels()
 	var nodes []*node.Node
 	for i := 0; i < *devices; i++ {
 		nd := node.New(medium.NodeID(i+1), 1, lora.SyncPublic, phy.Pt(100+float64(i)*7, 50))
@@ -184,13 +158,12 @@ func main() {
 	}
 }
 
-// gwUplinks wires a gateway's decoded uplinks to its forwarder. Legacy
-// mode pushes one rxpk per PUSH_DATA as decodes complete. Front-end mode
-// models the HAL fetch: decodes accumulate in a pending buffer that a
+// gwUplinks wires a gateway's decoded uplinks to its forwarder the way
+// the HAL fetch does: decodes accumulate in a pending buffer that a
 // simulated poll flushes every 10 ms, at most fe.MaxRxPkt rxpks per
 // datagram — bounding how many concurrently demodulated packets one
 // fetch (and one datagram) can carry.
-func gwUplinks(sim *des.Sim, gw *gateway.Gateway, fwd *udpfwd.Forwarder, legacy bool, fe radio.FrontEnd) {
+func gwUplinks(sim *des.Sim, gw *gateway.Gateway, fwd *udpfwd.Forwarder, fe radio.FrontEnd) {
 	toRXPK := func(u gateway.Uplink) udpfwd.RXPK {
 		return udpfwd.RXPK{
 			Tmst: uint32(u.At), Freq: float64(u.TX.Channel.Center) / 1e6,
@@ -199,14 +172,6 @@ func gwUplinks(sim *des.Sim, gw *gateway.Gateway, fwd *udpfwd.Forwarder, legacy 
 			RSSI: int(u.Meta.RSSIdBm), LSNR: u.Meta.SNRdB,
 			Size: len(u.TX.Raw), Data: udpfwd.EncodeData(u.TX.Raw),
 		}
-	}
-	if legacy {
-		gw.Uplinks.Subscribe(func(u gateway.Uplink) {
-			if err := fwd.Push([]udpfwd.RXPK{toRXPK(u)}, nil); err != nil {
-				log.Printf("gateway %d: push failed: %v", u.GW.ID, err)
-			}
-		})
-		return
 	}
 	var pending []udpfwd.RXPK
 	gw.Uplinks.Subscribe(func(u gateway.Uplink) {

@@ -16,10 +16,11 @@ type Decision struct {
 	// gateway genes first (ascending gateway index) then node genes
 	// (ascending node index) — the order the controller pushes them in.
 	Diff []cp.Gene
-	// IncumbentCost prices the incumbent on the drifted problem;
-	// CandidateCost prices the candidate, computed as an incremental
-	// Rescore of Diff on top of the incumbent — PR 9's differential
-	// oracle guarantees it bit-matches a full evaluation.
+	// IncumbentCost is a full Evaluate of the incumbent on the drifted
+	// problem; CandidateCost is the cost Solve returned with the
+	// candidate, itself a full Evaluate. A replan rewrites nearly every
+	// gene (PR 11 measured 11 736 of 12 012), so neither is priced
+	// incrementally.
 	IncumbentCost cp.Cost
 	CandidateCost cp.Cost
 	// Adopted reports whether the candidate passed the acceptance rule:
@@ -44,26 +45,19 @@ func Replan(q *cp.Problem, incumbent *cp.Assignment, opt evolve.Options) (*Decis
 		return nil, fmt.Errorf("adaptive: incumbent covers %d gateways / %d nodes, problem has %d / %d",
 			len(incumbent.GWChannels), len(incumbent.NodeChannel), len(q.Gateways), len(q.Nodes))
 	}
-	sc := cp.NewScorer(q)
-	sc.Reset(incumbent)
-	incCost := sc.Cost()
-
 	opt.WarmStart = incumbent
 	res, err := evolve.Solve(q, opt)
 	if err != nil {
 		return nil, fmt.Errorf("adaptive: %w", err)
 	}
 
-	diff := DiffGenes(incumbent, res.Assignment)
-	candCost := sc.Rescore(res.Assignment, diff)
-
 	d := &Decision{
 		Candidate:     res.Assignment,
-		Diff:          diff,
-		IncumbentCost: incCost,
-		CandidateCost: candCost,
+		Diff:          DiffGenes(incumbent, res.Assignment),
+		IncumbentCost: q.Evaluate(incumbent),
+		CandidateCost: res.Cost,
 	}
-	d.Adopted = res.Assignment.Validate(q) == nil && candCost.Total() <= incCost.Total()
+	d.Adopted = res.Assignment.Validate(q) == nil && d.CandidateCost.Total() <= d.IncumbentCost.Total()
 	return d, nil
 }
 

@@ -3,8 +3,8 @@
 // Master-side control loop subscribes to the fault injector's episode
 // transitions, maintains the drifted state of the live network (gateways
 // up or down, degraded decoder pools), and on a DES-clocked cadence
-// re-prices the live channel plan with the incremental cp.Scorer and
-// runs a bounded warm-started re-solve. A candidate plan is adopted only
+// re-prices the live channel plan with a full cp Evaluate and runs a
+// bounded warm-started re-solve. A candidate plan is adopted only
 // when it is valid and no worse than the incumbent under the fault state
 // that triggered it; adopted diffs are pushed to gateways and end
 // devices through the existing command-delivery seam.

@@ -156,7 +156,8 @@ type Assignment struct {
 	GWChannels [][]int
 	// NodeChannel[i] is the channel index node i transmits on.
 	NodeChannel []int
-	// NodeRing[i] is node i's data rate (transmission distance d_il).
+	// NodeRing[i] is node i's data rate (transmission distance d_il),
+	// never negative.
 	NodeRing []int
 }
 
@@ -200,8 +201,13 @@ func (a *Assignment) Validate(p *Problem) error {
 			return fmt.Errorf("cp: node %d on ring %d, want [0, %d)", i, ring, lora.NumDRs)
 		}
 	}
-	operated := make([]uint64, len(p.Gateways))
-	if sv := p.operatedMasks(a, operated); sv > 0 {
+	sv := 0
+	for j, set := range a.GWChannels {
+		if _, bad := p.operatedMask(j, set); bad {
+			sv++
+		}
+	}
+	if sv > 0 {
 		return fmt.Errorf("cp: %d gateway channel sets violate radio constraints", sv)
 	}
 	return nil
@@ -257,16 +263,11 @@ func (c Cost) Feasible() bool { return c.Unconnected == 0 && c.SpanViolations ==
 // Loads and node risks walk the memoized reachability index instead of
 // scanning every (node, gateway) pair; membership lists are stored in
 // ascending index order, so every floating-point accumulation happens in
-// exactly the same canonical order as the dense scans it replaced and
-// the returned Cost is bit-identical. Negative rings defeat the sparse
-// index (a ring of -1 links even MaxDR -1 gateways, which the index
-// omits), so those assignments take the dense reference path.
+// exactly the same canonical order as a dense scan of all pairs (the
+// tests' oracle) and the returned Cost is bit-identical to it. Rings
+// must be non-negative (Assignment.Validate's contract): the index holds
+// only reachable pairs, which is every pair a ring ≥ 0 can link.
 func (p *Problem) Evaluate(a *Assignment) Cost {
-	for _, ring := range a.NodeRing {
-		if ring < 0 {
-			return p.evaluateRef(a)
-		}
-	}
 	var cost Cost
 	nGW := len(p.Gateways)
 	r := p.reachability()
@@ -277,7 +278,12 @@ func (p *Problem) Evaluate(a *Assignment) Cost {
 	}
 	nPair := len(p.Channels) * lora.NumDRs
 	scratch := make([]float64, 2*nGW+nPair)
-	cost.SpanViolations = p.operatedMasks(a, operated)
+	for j := range p.Gateways {
+		var bad bool
+		if operated[j], bad = p.operatedMask(j, a.GWChannels[j]); bad {
+			cost.SpanViolations++
+		}
+	}
 
 	// Gateway loads k_j, each accumulated over the gateway's membership
 	// list in ascending node order.
@@ -349,123 +355,34 @@ func (p *Problem) Evaluate(a *Assignment) Cost {
 	return cost
 }
 
-// operatedMasks runs the radio-constraint pass: it fills operated[j]
-// with gateway j's channel bitmask (zero when the set violates a
-// constraint) and returns the violation count. Shared by Evaluate, the
-// reference evaluator, and the Scorer so all three agree bit-for-bit.
-func (p *Problem) operatedMasks(a *Assignment, operated []uint64) (spanViolations int) {
-	for j, chs := range p.Gateways {
-		operated[j] = 0
-		set := a.GWChannels[j]
-		if len(set) == 0 || len(set) > chs.MaxChannels ||
-			(chs.FixedChannels > 0 && len(set) != chs.FixedChannels) {
-			spanViolations++
-			continue
+// operatedMask is the radio-constraint check, the only one: it returns
+// the channel bitmask of set as gateway j's operating channels, or
+// (0, true) when the set breaks the gateway's chain-count, fixed-size or
+// span constraint or names a channel outside the universe. Evaluate,
+// Validate, the Scorer and the test oracle all call it.
+func (p *Problem) operatedMask(j int, set []int) (mask uint64, bad bool) {
+	g := p.Gateways[j]
+	if len(set) == 0 || len(set) > g.MaxChannels ||
+		(g.FixedChannels > 0 && len(set) != g.FixedChannels) {
+		return 0, true
+	}
+	lo, hi := region.Hz(math.MaxInt64), region.Hz(math.MinInt64)
+	for _, k := range set {
+		if k < 0 || k >= len(p.Channels) {
+			return 0, true
 		}
-		lo, hi := region.Hz(math.MaxInt64), region.Hz(math.MinInt64)
-		ok := true
-		for _, k := range set {
-			if k < 0 || k >= len(p.Channels) {
-				ok = false
-				break
-			}
-			operated[j] |= 1 << uint(k)
-			if l := p.Channels[k].Low(); l < lo {
-				lo = l
-			}
-			if h := p.Channels[k].High(); h > hi {
-				hi = h
-			}
+		mask |= 1 << uint(k)
+		if l := p.Channels[k].Low(); l < lo {
+			lo = l
 		}
-		if !ok || hi-lo > chs.SpanHz {
-			spanViolations++
-			operated[j] = 0
+		if h := p.Channels[k].High(); h > hi {
+			hi = h
 		}
 	}
-	return spanViolations
-}
-
-// evaluateRef is the dense O(nodes × gateways) evaluator the memoized
-// fast path replaced. It stays as the oracle for the differential tests
-// and as the fallback for assignments with negative rings, which link
-// gateways the sparse reachability index does not enumerate.
-func (p *Problem) evaluateRef(a *Assignment) Cost {
-	var cost Cost
-	nGW := len(p.Gateways)
-
-	// Gateway channel sets → bitmask per gateway for O(1) membership, and
-	// radio-constraint checks.
-	operated := make([]uint64, nGW) // supports ≤64 channels; guarded below
-	if len(p.Channels) > 64 {
-		panic("cp: more than 64 channels not supported")
+	if hi-lo > g.SpanHz {
+		return 0, true
 	}
-	nPair := len(p.Channels) * lora.NumDRs
-	scratch := make([]float64, 2*nGW+nPair)
-	cost.SpanViolations = p.operatedMasks(a, operated)
-
-	// Gateway loads k_j.
-	loads := scratch[:nGW]
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		ch, ring := a.NodeChannel[i], a.NodeRing[i]
-		for j := 0; j < nGW; j++ {
-			if n.MaxDR[j] >= ring && operated[j]&(1<<uint(ch)) != 0 {
-				loads[j] += n.Traffic
-			}
-		}
-	}
-
-	// Risks φ_j and node risks Φ_i.
-	risks := scratch[nGW : 2*nGW]
-	for j, k := range loads {
-		if over := k - float64(p.Gateways[j].Decoders); over > 0 {
-			risks[j] = over
-		}
-	}
-	for i := range p.Nodes {
-		n := &p.Nodes[i]
-		ch, ring := a.NodeChannel[i], a.NodeRing[i]
-		best := math.Inf(1)
-		for j := 0; j < nGW; j++ {
-			if n.MaxDR[j] >= ring && operated[j]&(1<<uint(ch)) != 0 && risks[j] < best {
-				best = risks[j]
-			}
-		}
-		if math.IsInf(best, 1) {
-			cost.Unconnected++
-			continue
-		}
-		cost.DecoderRisk += best * n.Traffic
-	}
-
-	// Channel contention: traffic beyond one concurrent packet per
-	// (channel, DR) pair, accumulated on the dense grid. Assignments with
-	// settings outside the grid (un-repaired mutants) spill to a lazily
-	// allocated map so their overload still counts.
-	pair := scratch[2*nGW:]
-	var spill map[int]float64
-	for i := range p.Nodes {
-		key := a.NodeChannel[i]*lora.NumDRs + a.NodeRing[i]
-		if uint(key) < uint(len(pair)) {
-			pair[key] += p.Nodes[i].Traffic
-		} else {
-			if spill == nil {
-				spill = make(map[int]float64)
-			}
-			spill[key] += p.Nodes[i].Traffic
-		}
-	}
-	for _, m := range pair {
-		if m > 1 {
-			cost.ChannelOverload += m - 1
-		}
-	}
-	for _, m := range spill {
-		if m > 1 {
-			cost.ChannelOverload += m - 1
-		}
-	}
-	return cost
+	return mask, false
 }
 
 // TheoreticalCapacity returns the oracle concurrent-user bound of the

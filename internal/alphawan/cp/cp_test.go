@@ -57,6 +57,52 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestAssignmentValidate pins the contract Evaluate and the Scorer rely
+// on and no longer check themselves: every gene inside the (channel,
+// ring) grid, every gateway set within its radio's constraints.
+func TestAssignmentValidate(t *testing.T) {
+	wide := &Problem{Channels: make([]region.Channel, 65), Gateways: smallProblem(0).Gateways}
+	cases := []struct {
+		name string
+		p    *Problem
+		edit func(a *Assignment)
+		ok   bool
+	}{
+		{"flat plan", smallProblem(4), func(a *Assignment) {}, true},
+		{"negative ring", smallProblem(4), func(a *Assignment) { a.NodeRing[2] = -1 }, false},
+		{"ring = NumDRs", smallProblem(4), func(a *Assignment) { a.NodeRing[2] = lora.NumDRs }, false},
+		{"top ring", smallProblem(4), func(a *Assignment) { a.NodeRing[2] = lora.NumDRs - 1 }, true},
+		{"negative channel", smallProblem(4), func(a *Assignment) { a.NodeChannel[0] = -1 }, false},
+		{"channel past the universe", smallProblem(4), func(a *Assignment) { a.NodeChannel[0] = 8 }, false},
+		{"gateway row missing", smallProblem(4), func(a *Assignment) { a.GWChannels = a.GWChannels[:1] }, false},
+		{"node channel row short", smallProblem(4), func(a *Assignment) { a.NodeChannel = a.NodeChannel[:3] }, false},
+		{"node ring row short", smallProblem(4), func(a *Assignment) { a.NodeRing = a.NodeRing[:3] }, false},
+		{"more than 64 channels", wide, func(a *Assignment) {}, false},
+		{"empty gateway set", smallProblem(4), func(a *Assignment) { a.GWChannels[1] = nil }, false},
+		{"gateway channel past the universe", smallProblem(4), func(a *Assignment) { a.GWChannels[1] = []int{8} }, false},
+		{"more channels than chains", smallProblem(4), func(a *Assignment) { a.GWChannels[0] = []int{0, 1, 2, 3, 4, 5, 6, 7, 0} }, false},
+		{"span-breaking set", testbedProblem(), func(a *Assignment) { a.GWChannels[0] = []int{0, 23} }, false},
+		{"set inside the span", testbedProblem(), func(a *Assignment) { a.GWChannels[0] = []int{0, 7} }, true},
+	}
+	for _, tc := range cases {
+		a := flat(tc.p)
+		tc.edit(a)
+		if err := a.Validate(tc.p); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// testbedProblem: Testbed's 24 channels (4.8 MHz) against one SX1302
+// gateway's 1.6 MHz span, one node.
+func testbedProblem() *Problem {
+	return &Problem{
+		Channels: region.Testbed.AllChannels(),
+		Gateways: []GatewaySpec{{Decoders: 16, MaxChannels: 8, SpanHz: 1_600_000}},
+		Nodes:    []NodeSpec{{Traffic: 1, MaxDR: []int{5}}},
+	}
+}
+
 func TestNoRiskUnderCapacity(t *testing.T) {
 	// 16 nodes, one per (channel, DR slot) ≤ 16 decoders per GW: zero risk
 	// except channel overload from reusing DR5 on shared channels.
@@ -134,11 +180,7 @@ func TestRingRespectsReachability(t *testing.T) {
 }
 
 func TestSpanViolation(t *testing.T) {
-	p := &Problem{
-		Channels: region.Testbed.AllChannels(), // 24 channels, 4.8 MHz
-		Gateways: []GatewaySpec{{Decoders: 16, MaxChannels: 8, SpanHz: 1_600_000}},
-		Nodes:    []NodeSpec{{Traffic: 1, MaxDR: []int{5}}},
-	}
+	p := testbedProblem()
 	a := &Assignment{
 		GWChannels:  [][]int{{0, 23}}, // ~4.7 MHz span ≫ 1.6 MHz
 		NodeChannel: []int{0},

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"github.com/alphawan/alphawan/internal/lora"
-	"github.com/alphawan/alphawan/internal/region"
 )
 
 // Gene identifies one decision variable of an Assignment for the
@@ -70,8 +69,10 @@ type Scorer struct {
 	gwBits []uint64
 
 	// Per-node state.
-	phi     []float64 // Φ_i, +Inf when unconnected
-	contrib []float64 // Φ_i · u_i, 0 when unconnected
+	phi []float64 // Φ_i, +Inf when unconnected
+	// contrib is Φ_i · u_i, 0 when unconnected: adding +0 leaves the
+	// DecoderRisk fold bit-identical to Evaluate's, which skips the node.
+	contrib []float64
 	unconn  []bool
 
 	// Pair-grid state.
@@ -99,11 +100,6 @@ type Scorer struct {
 	riskOld     []float64 // pre-flush risk of gateways in riskChanged
 	riskChanged []int32
 	gwTouched   bool // SpanViolations needs recounting
-	// needFull forces the next flush through a full rebuild. Set while
-	// any node ring is negative: such rings link even MaxDR -1 gateways,
-	// which the sparse reachability index does not enumerate, so
-	// incremental membership updates would be wrong.
-	needFull bool
 }
 
 // NewScorer allocates a Scorer for the problem. The returned Scorer
@@ -150,19 +146,37 @@ func NewScorer(p *Problem) *Scorer {
 // SetGWChannels instead.
 func (s *Scorer) Assignment() *Assignment { return &s.a }
 
-// Reset loads a fresh assignment and rebuilds all state from scratch.
-// The resulting Cost is bit-identical to p.Evaluate(a).
+// Reset loads a fresh assignment as if every gene had changed: it rewrites
+// the membership bitsets with the row and cell writers the setters use
+// and marks every gateway, cell and node dirty. It computes no cost
+// itself; the next Cost flush does, so a reset and a gene change are
+// priced by the same arithmetic and the result is bit-identical to
+// p.Evaluate(a). The flushed loads, risks, Φ and sums are left as they
+// are, stale or zero: the flush recomputes every dirty element and
+// re-folds a sum exactly when an element of it changed bitwise, which
+// holds from any flushed state, a fresh Scorer's zeros included.
 func (s *Scorer) Reset(a *Assignment) {
-	s.copyAssign(a)
-	s.fullRebuild()
-}
-
-func (s *Scorer) copyAssign(a *Assignment) {
-	for j := range s.a.GWChannels {
-		s.a.GWChannels[j] = append(s.a.GWChannels[j][:0], a.GWChannels[j]...)
-	}
 	copy(s.a.NodeChannel, a.NodeChannel)
 	copy(s.a.NodeRing, a.NodeRing)
+	for j := range s.a.GWChannels {
+		s.a.GWChannels[j] = append(s.a.GWChannels[j][:0], a.GWChannels[j]...)
+		s.operated[j], s.spanBad[j] = s.p.operatedMask(j, s.a.GWChannels[j])
+		s.writeRow(j)
+		s.markLoadDirty(j)
+	}
+	s.gwTouched = true
+
+	clear(s.cellBits)
+	s.spillNodes = 0
+	s.spillTouch = true
+	for i, ch := range s.a.NodeChannel {
+		w, bit := i>>6, uint64(1)<<uint(i&63)
+		s.enterCell(ch*lora.NumDRs+s.a.NodeRing[i], w, bit)
+		s.phiDirty[w] |= bit
+	}
+	for key := range s.cellLoad {
+		s.markCellDirty(key) // emptied cells too
+	}
 }
 
 // SetNode changes node i's (channel, ring) setting and marks the
@@ -174,10 +188,6 @@ func (s *Scorer) SetNode(i, ch, ring int) {
 	}
 	s.a.NodeChannel[i] = ch
 	s.a.NodeRing[i] = ring
-	if s.needFull || ring < 0 || oldRing < 0 {
-		s.needFull = true
-		return
-	}
 
 	// Link membership flips against every gateway the node can reach.
 	w, bit := i>>6, uint64(1)<<uint(i&63)
@@ -193,23 +203,28 @@ func (s *Scorer) SetNode(i, ch, ring int) {
 	}
 
 	// Pair-grid membership.
-	s.moveCell(oldCh*lora.NumDRs+oldRing, ch*lora.NumDRs+ring, w, bit)
+	s.leaveCell(oldCh*lora.NumDRs+oldRing, w, bit)
+	s.enterCell(ch*lora.NumDRs+ring, w, bit)
 	s.phiDirty[w] |= bit
 }
 
-// moveCell moves one node's pair-grid membership from oldKey to newKey;
-// w and bit address the node in a bitset row.
-func (s *Scorer) moveCell(oldKey, newKey, w int, bit uint64) {
-	if uint(oldKey) < uint(s.nPair) {
-		s.cellBits[oldKey*s.words+w] &^= bit
-		s.markCellDirty(oldKey)
+// leaveCell and enterCell move one node's pair-grid membership; w and
+// bit address the node in a bitset row. A key outside the dense grid is
+// only counted: the flush rebuilds the spill map by a node scan.
+func (s *Scorer) leaveCell(key, w int, bit uint64) {
+	if uint(key) < uint(s.nPair) {
+		s.cellBits[key*s.words+w] &^= bit
+		s.markCellDirty(key)
 	} else {
 		s.spillNodes--
 		s.spillTouch = true
 	}
-	if uint(newKey) < uint(s.nPair) {
-		s.cellBits[newKey*s.words+w] |= bit
-		s.markCellDirty(newKey)
+}
+
+func (s *Scorer) enterCell(key, w int, bit uint64) {
+	if uint(key) < uint(s.nPair) {
+		s.cellBits[key*s.words+w] |= bit
+		s.markCellDirty(key)
 	} else {
 		s.spillNodes++
 		s.spillTouch = true
@@ -232,13 +247,10 @@ func (s *Scorer) SetGWChannels(j int, set []int) {
 		}
 	}
 	s.a.GWChannels[j] = append(dst[:0], set...)
-	if s.needFull {
-		return
-	}
 
-	// Re-run the radio-constraint pass for this gateway alone.
+	// Re-run the radio-constraint check for this gateway alone.
 	oldMask := s.operated[j]
-	mask, bad := s.gwMask(j)
+	mask, bad := s.p.operatedMask(j, s.a.GWChannels[j])
 	s.operated[j] = mask
 	if bad != s.spanBad[j] {
 		s.spanBad[j] = bad
@@ -250,51 +262,30 @@ func (s *Scorer) SetGWChannels(j int, set []int) {
 
 	// The gateway's membership row changes wholesale: every old member's
 	// Φ may lose this gateway, every new member's may gain it. Fold the
-	// old row into phiDirty, rebuild the row from the membership list,
-	// fold the new row in too.
+	// old row into phiDirty, rebuild it, fold the new row in too.
 	row := s.gwBits[j*s.words : (j+1)*s.words]
 	for w, word := range row {
 		s.phiDirty[w] |= word
-		row[w] = 0
 	}
-	for _, e := range s.r.gwNodes[j] {
-		i := int(e.idx)
-		if int(e.maxDR) >= s.a.NodeRing[i] && mask&(1<<uint(s.a.NodeChannel[i])) != 0 {
-			row[i>>6] |= uint64(1) << uint(i&63)
-		}
-	}
+	s.writeRow(j)
 	for w, word := range row {
 		s.phiDirty[w] |= word
 	}
 	s.markLoadDirty(j)
 }
 
-// gwMask runs the radio-constraint check for one gateway, mirroring
-// operatedMasks exactly.
-func (s *Scorer) gwMask(j int) (mask uint64, bad bool) {
-	chs := s.p.Gateways[j]
-	set := s.a.GWChannels[j]
-	if len(set) == 0 || len(set) > chs.MaxChannels ||
-		(chs.FixedChannels > 0 && len(set) != chs.FixedChannels) {
-		return 0, true
-	}
-	lo, hi := region.Hz(math.MaxInt64), region.Hz(math.MinInt64)
-	for _, k := range set {
-		if k < 0 || k >= len(s.p.Channels) {
-			return 0, true
-		}
-		mask |= 1 << uint(k)
-		if l := s.p.Channels[k].Low(); l < lo {
-			lo = l
-		}
-		if h := s.p.Channels[k].High(); h > hi {
-			hi = h
+// writeRow rebuilds gateway j's membership row from its reachability
+// list under the gateway's current operated mask.
+func (s *Scorer) writeRow(j int) {
+	row := s.gwBits[j*s.words : (j+1)*s.words]
+	clear(row)
+	mask := s.operated[j]
+	for _, e := range s.r.gwNodes[j] {
+		i := int(e.idx)
+		if int(e.maxDR) >= s.a.NodeRing[i] && mask&(1<<uint(s.a.NodeChannel[i])) != 0 {
+			row[i>>6] |= uint64(1) << uint(i&63)
 		}
 	}
-	if hi-lo > chs.SpanHz {
-		return 0, true
-	}
-	return mask, false
 }
 
 func (s *Scorer) markLoadDirty(j int) {
@@ -331,11 +322,6 @@ func (s *Scorer) Rescore(a *Assignment, changed []Gene) Cost {
 // Cost flushes all pending dirt and returns the cost of the current
 // assignment, bit-identical to p.Evaluate(Assignment()).
 func (s *Scorer) Cost() Cost {
-	if s.needFull {
-		s.fullRebuild()
-		return s.cost
-	}
-
 	// Dirty gateway loads: re-accumulate from the membership bitset in
 	// ascending node order (Evaluate's canonical chain), recording
 	// bitwise risk transitions for the Φ passes below.
@@ -529,203 +515,4 @@ func (s *Scorer) rebuildSpill() {
 			s.spill[key] += s.r.traffic[i]
 		}
 	}
-}
-
-// fullRebuild recomputes every piece of state from the assignment
-// snapshot, mirroring Evaluate's passes (including its dense fallback
-// when negative rings are present).
-func (s *Scorer) fullRebuild() {
-	s.cost = Cost{}
-	negRings := 0
-	for _, ring := range s.a.NodeRing {
-		if ring < 0 {
-			negRings++
-		}
-	}
-	s.needFull = negRings > 0
-
-	// Radio-constraint pass, via the same per-gateway check the
-	// incremental SetGWChannels path uses (it mirrors operatedMasks
-	// condition for condition).
-	sv := 0
-	for j := range s.p.Gateways {
-		mask, bad := s.gwMask(j)
-		s.operated[j] = mask
-		s.spanBad[j] = bad
-		if bad {
-			sv++
-		}
-	}
-	s.cost.SpanViolations = sv
-
-	// Membership bitsets and loads. With negative rings present the
-	// sparse index is unusable, so membership is derived from the dense
-	// MaxDR rows — the loads themselves still accumulate in ascending
-	// node order either way.
-	for w := range s.gwBits {
-		s.gwBits[w] = 0
-	}
-	for j := range s.loads {
-		s.loads[j] = 0
-	}
-	if s.needFull {
-		for i := range s.p.Nodes {
-			n := &s.p.Nodes[i]
-			ch, ring := s.a.NodeChannel[i], s.a.NodeRing[i]
-			w, bit := i>>6, uint64(1)<<uint(i&63)
-			for j := range s.p.Gateways {
-				if n.MaxDR[j] >= ring && s.operated[j]&(1<<uint(ch)) != 0 {
-					s.gwBits[j*s.words+w] |= bit
-					s.loads[j] += n.Traffic
-				}
-			}
-		}
-	} else {
-		for j := range s.p.Gateways {
-			m := s.operated[j]
-			if m == 0 {
-				continue
-			}
-			load := 0.0
-			for _, e := range s.r.gwNodes[j] {
-				i := int(e.idx)
-				if int(e.maxDR) >= s.a.NodeRing[i] && m&(1<<uint(s.a.NodeChannel[i])) != 0 {
-					s.gwBits[j*s.words+i>>6] |= uint64(1) << uint(i&63)
-					load += s.r.traffic[i]
-				}
-			}
-			s.loads[j] = load
-		}
-	}
-
-	for j, k := range s.loads {
-		s.risks[j] = 0
-		if over := k - float64(s.p.Gateways[j].Decoders); over > 0 {
-			s.risks[j] = over
-		}
-	}
-
-	// Φ and the DecoderRisk fold (adding a 0.0 contribution for
-	// unconnected nodes leaves the chain bit-identical to Evaluate's
-	// skip).
-	sum := 0.0
-	for i := range s.p.Nodes {
-		ch, ring := s.a.NodeChannel[i], s.a.NodeRing[i]
-		best := math.Inf(1)
-		if s.needFull {
-			n := &s.p.Nodes[i]
-			for j := range s.p.Gateways {
-				if n.MaxDR[j] >= ring && s.operated[j]&(1<<uint(ch)) != 0 && s.risks[j] < best {
-					best = s.risks[j]
-				}
-			}
-		} else {
-			for _, e := range s.r.nodeGWs[i] {
-				if int(e.maxDR) >= ring && s.operated[e.idx]&(1<<uint(ch)) != 0 && s.risks[e.idx] < best {
-					best = s.risks[e.idx]
-				}
-			}
-		}
-		s.phi[i] = best
-		if math.IsInf(best, 1) {
-			s.cost.Unconnected++
-			s.unconn[i] = true
-			s.contrib[i] = 0
-			continue
-		}
-		s.unconn[i] = false
-		s.contrib[i] = best * s.r.traffic[i]
-		sum += s.contrib[i]
-	}
-	s.cost.DecoderRisk = sum
-
-	// Pair grid, spill, and the overload fold.
-	for k := range s.cellBits {
-		s.cellBits[k] = 0
-	}
-	for k := range s.cellLoad {
-		s.cellLoad[k] = 0
-	}
-	s.spill = nil
-	s.spillNodes = 0
-	s.spillTouch = false
-	for i := range s.p.Nodes {
-		key := s.a.NodeChannel[i]*lora.NumDRs + s.a.NodeRing[i]
-		if uint(key) < uint(s.nPair) {
-			s.cellBits[key*s.words+i>>6] |= uint64(1) << uint(i&63)
-			s.cellLoad[key] += s.r.traffic[i]
-		} else {
-			if s.spill == nil {
-				s.spill = make(map[int]float64)
-			}
-			s.spill[key] += s.r.traffic[i]
-			s.spillNodes++
-		}
-	}
-	over := 0.0
-	for _, m := range s.cellLoad {
-		if m > 1 {
-			over += m - 1
-		}
-	}
-	for _, m := range s.spill {
-		if m > 1 {
-			over += m - 1
-		}
-	}
-	s.cost.ChannelOverload = over
-
-	// Clear any stale dirt.
-	for _, j := range s.dirtyGWs {
-		s.loadDirty[j] = false
-	}
-	s.dirtyGWs = s.dirtyGWs[:0]
-	for _, k := range s.dirtyCells {
-		s.cellDirty[k] = false
-	}
-	s.dirtyCells = s.dirtyCells[:0]
-	for w := range s.phiDirty {
-		s.phiDirty[w] = 0
-	}
-	s.gwTouched = false
-}
-
-// GatewayLoad returns gateway j's current load k_j (flushed state only:
-// call Cost first after gene changes).
-func (s *Scorer) GatewayLoad(j int) float64 { return s.loads[j] }
-
-// PairLoad returns the traffic on (channel, DR) cell key, consulting the
-// spill map for out-of-grid keys (flushed state only).
-func (s *Scorer) PairLoad(key int) float64 {
-	if uint(key) < uint(s.nPair) {
-		return s.cellLoad[key]
-	}
-	return s.spill[key]
-}
-
-// Linked reports whether node i currently contributes to gateway j's
-// load (flushed state only).
-func (s *Scorer) Linked(i, j int) bool {
-	return s.gwBits[j*s.words+i>>6]&(uint64(1)<<uint(i&63)) != 0
-}
-
-// AppendLinks appends, in ascending order, the gateways node i would
-// link to if it used (ch, ring), and returns the extended slice. It is
-// the allocation-free replacement for the hill-climb's per-call links
-// closure.
-func (s *Scorer) AppendLinks(i, ch, ring int, out []int) []int {
-	if ring < 0 {
-		for j := range s.p.Gateways {
-			if s.p.Nodes[i].MaxDR[j] >= ring && s.operated[j]&(1<<uint(ch)) != 0 {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	for _, e := range s.r.nodeGWs[i] {
-		if int(e.maxDR) >= ring && s.operated[e.idx]&(1<<uint(ch)) != 0 {
-			out = append(out, int(e.idx))
-		}
-	}
-	return out
 }

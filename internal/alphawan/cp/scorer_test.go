@@ -43,9 +43,8 @@ func randProblem(rng *rand.Rand) *Problem {
 }
 
 // randAssignment builds an assignment exercising every failure path:
-// empty / oversized / out-of-range / span-breaking channel sets,
-// out-of-grid node channels (spill), and negative rings (the dense
-// fallback).
+// empty / oversized / out-of-range / span-breaking channel sets and
+// out-of-grid node genes (spill).
 func randAssignment(rng *rand.Rand, p *Problem) *Assignment {
 	nCH := len(p.Channels)
 	a := &Assignment{
@@ -57,10 +56,16 @@ func randAssignment(rng *rand.Rand, p *Problem) *Assignment {
 		a.GWChannels[j] = randGWSet(rng, nCH)
 	}
 	for i := range p.Nodes {
-		a.NodeChannel[i] = rng.Intn(nCH+4) - 2
-		a.NodeRing[i] = rng.Intn(lora.NumDRs+2) - 1
+		a.NodeChannel[i], a.NodeRing[i] = randNodeGene(rng, nCH)
 	}
 	return a
+}
+
+// randNodeGene draws a channel two either side of the universe and a ring
+// in [0, lora.NumDRs]: negative rings are outside Evaluate's contract,
+// and the top value, one past the grid, keeps the spill path covered.
+func randNodeGene(rng *rand.Rand, nCH int) (ch, ring int) {
+	return rng.Intn(nCH+4) - 2, rng.Intn(lora.NumDRs + 1)
 }
 
 func randGWSet(rng *rand.Rand, nCH int) []int {
@@ -79,10 +84,10 @@ func randGWSet(rng *rand.Rand, nCH int) []int {
 }
 
 // TestScorerDifferential drives random problems through random gene-move
-// sequences and demands that every Scorer path — Reset, in-place
-// SetNode/SetGWChannels + Cost, in-place Rescore — agree bit-for-bit
-// with both the fast Evaluate and the dense reference evaluator at every
-// step.
+// sequences and demands that every Scorer path — Reset of a fresh and of
+// a used Scorer, in-place SetNode/SetGWChannels + Cost, in-place Rescore
+// — agree bit-for-bit with both the fast Evaluate and the dense
+// reference evaluator at every step.
 func TestScorerDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
@@ -105,8 +110,7 @@ func TestScorerDifferential(t *testing.T) {
 					genes = append(genes, GWGene(j))
 				} else {
 					i := rng.Intn(len(p.Nodes))
-					a.NodeChannel[i] = rng.Intn(len(p.Channels)+4) - 2
-					a.NodeRing[i] = rng.Intn(lora.NumDRs+2) - 1
+					a.NodeChannel[i], a.NodeRing[i] = randNodeGene(rng, len(p.Channels))
 					genes = append(genes, NodeGene(i))
 				}
 			}
@@ -126,6 +130,22 @@ func TestScorerDifferential(t *testing.T) {
 
 			// Path 2: in-place Rescore, as the hill-climb does.
 			checkAll(t, p, a, sc.Rescore(a, genes), "in-place Rescore")
+		}
+
+		// Path 3: Reset on a used Scorer. Everything it held belongs to
+		// another assignment (on setters, with one change not yet
+		// flushed); then twice to the assignment it already holds, where
+		// no element changes and the cost must not either.
+		b := randAssignment(rng, p)
+		i := rng.Intn(len(p.Nodes))
+		setters.SetNode(i, a.NodeChannel[i]+1, a.NodeRing[i])
+		for _, used := range []*Scorer{sc, setters} {
+			used.Reset(b)
+			checkAll(t, p, b, used.Cost(), "Reset of a used Scorer")
+			for k := 0; k < 2; k++ {
+				used.Reset(b)
+				checkAll(t, p, b, used.Cost(), "Reset to the held assignment")
+			}
 		}
 	}
 }
@@ -166,8 +186,7 @@ func FuzzScorerRescore(f *testing.F) {
 		sc.Reset(a)
 		for step := 0; step < int(steps%48); step++ {
 			i := rng.Intn(len(p.Nodes))
-			a.NodeChannel[i] = rng.Intn(len(p.Channels)+4) - 2
-			a.NodeRing[i] = rng.Intn(lora.NumDRs+2) - 1
+			a.NodeChannel[i], a.NodeRing[i] = randNodeGene(rng, len(p.Channels))
 			genes := []Gene{NodeGene(i)}
 			if rng.Intn(4) == 0 {
 				j := rng.Intn(len(p.Gateways))
@@ -178,6 +197,10 @@ func FuzzScorerRescore(f *testing.F) {
 				t.Fatalf("step %d: scorer %+v != Evaluate %+v", step, got, want)
 			}
 		}
+		// The used Scorer, reset to an unrelated assignment.
+		b := randAssignment(rng, p)
+		sc.Reset(b)
+		checkAll(t, p, b, sc.Cost(), "Reset of a used Scorer")
 	})
 }
 
@@ -307,7 +330,7 @@ func BenchmarkEvaluateRef(b *testing.B) {
 
 // BenchmarkRescoreDelta prices the same candidates incrementally: one op
 // applies a two-gene diff and flushes, then applies its inverse and
-// flushes — the path the hill-climb and the online replanner take.
+// flushes — the path ExactPolish's hill-climb takes.
 func BenchmarkRescoreDelta(b *testing.B) {
 	p, base := benchProblem(1)
 	sc := NewScorer(p)

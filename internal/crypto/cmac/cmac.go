@@ -87,9 +87,6 @@ type CMAC struct {
 	tag [Size]byte
 }
 
-// mac is the historical unexported name of the reusable instance.
-type mac = CMAC
-
 // deriveSubkeys computes K1 and K2 per RFC 4493 §2.3.
 func (m *CMAC) deriveSubkeys() {
 	var l [Size]byte

@@ -56,7 +56,7 @@ func TestSubkeyDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := h.(*mac)
+	m := h.(*CMAC)
 	if want := mustHex(t, "fbeed618357133667c85e08f7236a8de"); !bytes.Equal(m.k1[:], want) {
 		t.Errorf("K1 = %x, want %x", m.k1, want)
 	}

@@ -122,10 +122,6 @@ func (p *Port) SetDown(down bool) {
 // to. Call before SetDown(true); coming back up clears it.
 func (p *Port) SetDownEpisode(episode int64) { p.downEpisode = episode }
 
-// DownEpisode returns the fault episode attributed to the current
-// downtime (0 when the port is up or down for an ordinary reboot).
-func (p *Port) DownEpisode() int64 { return p.downEpisode }
-
 // Delivery reports a successful own-network packet reception at a port,
 // with the metadata a real gateway forwards to the network server.
 type Delivery struct {

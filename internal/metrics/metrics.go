@@ -76,9 +76,6 @@ func (s NetworkStats) PRR() float64 {
 	return float64(s.Received) / float64(s.Sent)
 }
 
-// Lost returns the number of lost transmissions.
-func (s NetworkStats) Lost() int { return s.Sent - s.Received }
-
 // LossRatio returns the fraction of transmissions lost to the cause.
 func (s NetworkStats) LossRatio(c Cause) float64 {
 	if s.Sent == 0 {

@@ -14,7 +14,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"github.com/alphawan/alphawan/internal/lora"
 )
@@ -232,6 +231,3 @@ func Unmarshal(raw []byte) (*Packet, error) {
 	}
 	return p, nil
 }
-
-// NowISO renders a timestamp in the protocol's ISO 8601 format.
-func NowISO(t time.Time) string { return t.UTC().Format(time.RFC3339Nano) }
