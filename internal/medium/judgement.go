@@ -79,8 +79,9 @@ type Interferer struct {
 // Judgement decides whether one locked-on packet decodes. Both simulation
 // engines feed it from their own neighbour walk: Begin, one Add per
 // interferer, then Verdict. The value is reusable — Begin resets it and
-// keeps the buffer Add gathers into under CIC — so each engine holds one
-// per sweep and the reception path allocates nothing.
+// keeps the buffer Add gathers into under CIC and the linear-power memo —
+// so each engine holds one per sweep and the reception path allocates
+// nothing.
 type Judgement struct {
 	rule  Rule
 	rssiV float64
@@ -92,11 +93,14 @@ type Judgement struct {
 	foreign   bool
 	// held defers folding under CIC until the collider census is complete.
 	held []Interferer
+	// memo caches the dBm → mW conversions fold keeps repeating; like
+	// held it survives Begin.
+	memo *powMemo
 }
 
 // Begin starts the judgement of a packet received at rssiV dBm.
 func (j *Judgement) Begin(rule Rule, rssiV float64) {
-	*j = Judgement{rule: rule, rssiV: rssiV, held: j.held[:0]}
+	*j = Judgement{rule: rule, rssiV: rssiV, held: j.held[:0], memo: j.memo}
 }
 
 // Add accounts for one interferer. It returns false once a fatal collision
@@ -124,11 +128,17 @@ func (j *Judgement) fold(u *Interferer) bool {
 	// offset decorrelates the chirps — LoRa's adjacent-channel
 	// rejection grows roughly linearly with misalignment, reaching
 	// tens of dB for mostly-disjoint channels.
-	eff := u.RSSI + 20*math.Log10(u.Overlap) - OffsetRejectionDB*(1-u.Overlap)
+	// A fully aligned interferer — the common case on a shared channel
+	// grid — loses nothing: both correction terms are exactly zero, so the
+	// expression below would return u.RSSI bit for bit.
+	eff := u.RSSI
+	if u.Overlap != 1 {
+		eff = u.RSSI + 20*math.Log10(u.Overlap) - OffsetRejectionDB*(1-u.Overlap)
+	}
 	if !u.SameSF {
 		// Quasi-orthogonal SFs: interferer suppressed by the rejection
 		// isolation before entering the noise budget.
-		j.intfLin += dbmToMw(eff + u.Rejection)
+		j.intfLin += j.linear(eff + u.Rejection)
 		return true
 	}
 	if u.Overlap >= SameSettingsOverlap {
@@ -150,7 +160,7 @@ func (j *Judgement) fold(u *Interferer) bool {
 	}
 	// A misaligned same-SF interferer cannot steal the demodulator lock;
 	// its truncated, decorrelated residue only raises the noise floor.
-	j.intfLin += dbmToMw(eff)
+	j.intfLin += j.linear(eff)
 	return true
 }
 
@@ -175,3 +185,44 @@ func (j *Judgement) Verdict(noiseLin, demodFloor float64) (v radio.DecodeVerdict
 
 func dbmToMw(dbm float64) float64 { return math.Pow(10, dbm/10) }
 func mwToDBm(mw float64) float64  { return 10 * math.Log10(mw) }
+
+// powMemoBits sizes the linear-power memo: 8192 slots, 128 KB.
+const powMemoBits = 13
+
+// powMemo is a direct-mapped cache of dbmToMw keyed by the argument's bit
+// pattern. A simulation's nodes and gateways stand still, so fold converts
+// the same link budgets (one per position × port × SF rejection) to
+// milliwatts over and over, each through a math.Pow. Every slot always
+// holds a true (bits, dbmToMw(bits)) pair — a fresh memo is filled with
+// the pair of +0 dBm — so a key match returns exactly what dbmToMw would,
+// and a colliding key simply overwrites the slot.
+type powMemo struct {
+	slots [1 << powMemoBits]struct {
+		bits uint64
+		mw   float64
+	}
+	// misses counts the dbmToMw evaluations (benchmarks report pow/tx).
+	misses uint64
+}
+
+// linear is dbmToMw through the judgement's memo.
+func (j *Judgement) linear(dbm float64) float64 {
+	m := j.memo
+	if m == nil {
+		m = new(powMemo)
+		zero := dbmToMw(0)
+		for i := range m.slots {
+			m.slots[i].mw = zero
+		}
+		j.memo = m
+	}
+	bits := math.Float64bits(dbm)
+	// Link budgets differ mostly in their low mantissa bits; the Fibonacci
+	// multiplier spreads those over the slot index taken from the top.
+	s := &m.slots[bits*0x9E3779B97F4A7C15>>(64-powMemoBits)]
+	if s.bits != bits {
+		s.bits, s.mw = bits, dbmToMw(dbm)
+		m.misses++
+	}
+	return s.mw
+}

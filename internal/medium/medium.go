@@ -23,6 +23,8 @@
 package medium
 
 import (
+	"math"
+
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/events"
 	"github.com/alphawan/alphawan/internal/lora"
@@ -163,13 +165,14 @@ type Medium struct {
 	ports  []*Port
 	nextID int64
 
-	// active holds transmissions that may still interfere with an ongoing
-	// reception (pruned as time advances), with two indexes: byID for
-	// result routing and byBin (200 kHz frequency bins) so interference
-	// scans only touch spectrally-nearby packets.
-	active []*Transmission
-	byID   map[int64]*Transmission
-	byBin  map[int64][]*Transmission
+	// bins holds the transmissions that may still interfere with an
+	// ongoing reception (pruned as time advances), one start-sorted lane
+	// per (200 kHz frequency bin, data rate): a dense table over the bins
+	// seen so far, bin b at bins[b-binBase]. See neighbors. byID resolves
+	// the same transmissions for result routing.
+	bins    []binLanes
+	binBase int64
+	byID    map[int64]*Transmission
 
 	// portsByBin is the interest index: frequency bin → the ports whose
 	// radios monitor a channel near that bin, in port-id order. Transmit
@@ -192,12 +195,16 @@ type Medium struct {
 	// back when the radio reports the drop.
 	collisionIntf map[judgeKey]bool
 
-	// maxAir is the longest airtime of any transmission so far — the
-	// bound neighbors uses to skip provably-ended history in its
-	// start-sorted bin lists.
-	maxAir des.Time
+	// horizon is the longest airtime of any transmission so far: how long
+	// after its end a transmission can still be asked for by a verdict
+	// (see prune).
+	horizon des.Time
 	// lastPrune is when the last full prune pass ran (see pruneInterval).
 	lastPrune des.Time
+	// onWalk, when set (tests and benchmarks only), observes every
+	// neighbour walk: what was asked for and how many transmissions the
+	// callback was handed.
+	onWalk func(ch region.Channel, winStart des.Time, visits int)
 
 	// posSlots interns transmitter positions: every distinct position is
 	// assigned a dense 1-based slot carried on *Transmission, indexing
@@ -256,7 +263,6 @@ func New(sim *des.Sim, env phy.Environment) *Medium {
 	return &Medium{
 		sim: sim, env: env,
 		byID:          make(map[int64]*Transmission),
-		byBin:         make(map[int64][]*Transmission),
 		portsByBin:    make(map[int64][]*Port),
 		collisionIntf: make(map[judgeKey]bool),
 		posSlots:      make(map[phy.Point]int32),
@@ -269,32 +275,124 @@ const binWidth = 200_000
 
 func bin(f region.Hz) int64 { return int64(f) / binWidth }
 
-// neighbors calls fn for every active transmission whose channel could
-// spectrally overlap ch (same or adjacent frequency bin) and whose
-// airtime could overlap a window starting at winStart. Each bin list is
-// sorted by Start (Transmit appends in simulation order), so entries old
-// enough that even the longest frame seen so far (maxAir) would have
-// ended before winStart are skipped with a binary search instead of a
-// scan — under retention-length history and short frames that is most of
-// the list. Callers still apply their exact time-overlap predicate; the
-// skip only removes transmissions that provably fail it.
-func (m *Medium) neighbors(ch region.Channel, winStart des.Time, fn func(*Transmission)) {
-	cutoff := winStart - m.maxAir
-	b := bin(ch.Center)
-	for d := int64(-1); d <= 1; d++ {
-		list := m.byBin[b+d]
-		lo, hi := 0, len(list)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if list[mid].Start < cutoff {
-				lo = mid + 1
-			} else {
-				hi = mid
+// lane is the start-sorted history of one (frequency bin, data rate):
+// Transmit appends in simulation order, so txs is sorted by Start and by
+// ID alike.
+type lane struct {
+	txs []*Transmission
+	// starts[i] is txs[i].Start, kept dense so the walk's binary search
+	// stays within one array instead of chasing a pointer per probe.
+	starts []des.Time
+	// maxAir is the longest airtime ever appended to this lane. A lane
+	// holds one data rate, so it is the airtime of that rate's longest
+	// frame — tens of milliseconds at DR5 where the medium-wide bound is
+	// the seconds of a DR0 frame.
+	maxAir des.Time
+}
+
+// live returns the lane's suffix that can still be on the air after
+// winStart: everything before it started at or before winStart-maxAir and
+// so, whatever its length, ended by winStart.
+func (l *lane) live(winStart des.Time) []*Transmission {
+	cutoff := winStart - l.maxAir
+	lo, hi := 0, len(l.starts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if l.starts[mid] <= cutoff {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return l.txs[lo:]
+}
+
+// binLanes is one frequency bin: a lane per data rate and the spectrum
+// its transmissions have ever covered, so a walk can pass over an
+// adjacent bin none of whose channels reaches the victim's.
+type binLanes struct {
+	lanes     [lora.NumDRs]lane
+	low, high region.Hz
+}
+
+// binOf returns frequency bin b, growing the dense table to cover it
+// first.
+func (m *Medium) binOf(b int64) *binLanes {
+	if len(m.bins) == 0 {
+		m.binBase = b
+	}
+	if n := int64(len(m.bins)); b < m.binBase || b >= m.binBase+n {
+		lo, hi := min(b, m.binBase), max(b, m.binBase+n-1)
+		grown := make([]binLanes, hi-lo+1)
+		for i := range grown {
+			grown[i].low, grown[i].high = math.MaxInt64, math.MinInt64
+		}
+		copy(grown[m.binBase-lo:], m.bins)
+		m.bins, m.binBase = grown, lo
+	}
+	return &m.bins[b-m.binBase]
+}
+
+// allDRs asks neighbors for every data rate's lane.
+const allDRs lora.DR = -1
+
+// neighbors calls fn for the retained transmissions that could overlap a
+// packet on ch in spectrum (same or adjacent frequency bin, and a bin that
+// has carried a channel reaching ch) and in time (possibly still on the
+// air after winStart), until fn returns false. With only == allDRs it
+// covers every data rate, otherwise that rate's lanes alone.
+//
+// The order is (bin, ID): within a bin the lanes are merged by
+// transmission ID, and IDs are issued in start order, so the sequence is
+// the one a single start-sorted list per bin would give — the Judgement
+// folds interferers in this order and blames the first fatal one. Each
+// lane is entered at its own live suffix, so a walk passes over the short
+// frames that ended long ago without giving up the long ones still on the
+// air. Callers still apply their exact time- and spectrum-overlap
+// predicates; the walk only leaves out transmissions that provably fail
+// them.
+func (m *Medium) neighbors(ch region.Channel, only lora.DR, winStart des.Time, fn func(*Transmission) bool) {
+	first, last := 0, lora.NumDRs-1
+	if only != allDRs {
+		first, last = int(only), int(only)
+	}
+	visits := 0
+	b := int(bin(ch.Center) - m.binBase)
+walk:
+	for bi := max(b-1, 0); bi <= b+1 && bi < len(m.bins); bi++ {
+		row := &m.bins[bi]
+		if ch.High() <= row.low || ch.Low() >= row.high {
+			continue // nothing in this bin ever overlapped ch
+		}
+		// heads[:n] are the non-empty live suffixes of the bin's lanes.
+		var heads [lora.NumDRs][]*Transmission
+		n := 0
+		for dr := first; dr <= last; dr++ {
+			if live := row.lanes[dr].live(winStart); len(live) > 0 {
+				heads[n] = live
+				n++
 			}
 		}
-		for _, u := range list[lo:] {
-			fn(u)
+		for n > 0 {
+			k := 0
+			for i := 1; i < n; i++ {
+				if heads[i][0].ID < heads[k][0].ID {
+					k = i
+				}
+			}
+			u := heads[k][0]
+			visits++
+			if !fn(u) {
+				break walk
+			}
+			if heads[k] = heads[k][1:]; len(heads[k]) == 0 {
+				n--
+				heads[k] = heads[n]
+			}
 		}
+	}
+	if m.onWalk != nil {
+		m.onWalk(ch, winStart, visits)
 	}
 }
 
@@ -516,15 +614,17 @@ func (m *Medium) Transmit(tx Transmission) *Transmission {
 	t.LockOn = t.Start + des.FromDuration(params.PreambleDuration())
 	t.End = t.Start + des.FromDuration(params.Airtime(t.PayloadLen))
 	t.posSlot = m.internPos(t.Pos)
-	if air := t.End - t.Start; air > m.maxAir {
-		m.maxAir = air
-	}
+	air := t.End - t.Start
+	m.horizon = max(m.horizon, air)
 
 	m.prune()
-	m.active = append(m.active, t)
 	m.byID[t.ID] = t
-	b := bin(t.Channel.Center)
-	m.byBin[b] = append(m.byBin[b], t)
+	row := m.binOf(bin(t.Channel.Center))
+	row.low, row.high = min(row.low, t.Channel.Low()), max(row.high, t.Channel.High())
+	l := &row.lanes[t.DR]
+	l.txs = append(l.txs, t)
+	l.starts = append(l.starts, t.Start)
+	l.maxAir = max(l.maxAir, air)
 
 	m.TXStarts.Publish(t)
 
@@ -583,19 +683,20 @@ func (m *Medium) buriedBy(t *Transmission, p *Port, rssiV float64) *Transmission
 		return nil
 	}
 	var hit *Transmission
-	m.neighbors(t.Channel, t.Start, func(u *Transmission) {
-		if hit != nil || u.ID == t.ID || u.DR.SF() != t.DR.SF() {
-			return
+	m.neighbors(t.Channel, t.DR, t.Start, func(u *Transmission) bool {
+		if u.ID == t.ID {
+			return true
 		}
 		if u.End <= t.Start || u.Start >= t.LockOn {
-			return // no overlap with t's preamble window
+			return true // no overlap with t's preamble window
 		}
 		if t.Channel.Overlap(u.Channel) < SameSettingsOverlap {
-			return
+			return true
 		}
 		if rssiU, _ := m.rxSNR(u, p); Buries(rssiU, rssiV) {
 			hit = u
 		}
+		return hit == nil
 	})
 	return hit
 }
@@ -607,20 +708,19 @@ func (m *Medium) judge(t *Transmission, p *Port, rssiV float64) radio.DecodeVerd
 	j := &m.judgement
 	j.Begin(m.Rule, rssiV)
 	sf := t.DR.SF()
-	settled := false
-	m.neighbors(t.Channel, t.Start, func(u *Transmission) {
-		if settled || u.ID == t.ID {
-			return
+	m.neighbors(t.Channel, allDRs, t.Start, func(u *Transmission) bool {
+		if u.ID == t.ID {
+			return true
 		}
 		if u.End <= t.Start || u.Start >= t.End {
-			return // no time overlap
+			return true // no time overlap
 		}
 		ov := t.Channel.Overlap(u.Channel)
 		if ov <= 0 {
-			return // no spectral overlap
+			return true // no spectral overlap
 		}
 		rssiU, _ := m.rxSNR(u, p)
-		settled = !j.Add(&Interferer{
+		return j.Add(&Interferer{
 			RSSI: rssiU, Overlap: ov,
 			Rejection: lora.CoChannelRejection(sf, u.DR.SF()),
 			SameSF:    u.DR.SF() == sf,
@@ -634,59 +734,44 @@ func (m *Medium) judge(t *Transmission, p *Port, rssiV float64) radio.DecodeVerd
 	return v
 }
 
-// retention is how long a finished transmission stays in the active set.
-// Judgement needs interferers overlapping a live packet's airtime; the
-// longest frame in these workloads is ≈2.3 s (SF12), so 3 s is safe.
-const retention = 3 * des.Second
+// pruneInterval throttles full prune passes. Under load, some retained
+// transmission expires between almost every pair of transmissions, so
+// pruning on every expiry would compact the lanes per packet — O(retained)
+// each time, the dominant cost of the densest figures. Expired entries
+// that linger until the next pass are invisible to judgement (they fail
+// every time-overlap predicate, and each lane's binary search skips them
+// wholesale), so the interval only bounds memory, not behavior: the lanes
+// hold at most horizon+pruneInterval of history.
+const pruneInterval = 750 * des.Millisecond
 
-// pruneInterval throttles full prune passes. Under load, some entry of
-// the active set expires between almost every pair of transmissions, so
-// pruning on every expiry would rebuild the indexes per packet —
-// O(active) each time, the dominant cost of the densest figures. Expired
-// entries that linger until the next pass are invisible to judgement
-// (they fail every time-overlap predicate, and the neighbors binary
-// search skips them wholesale), so the interval only bounds memory, not
-// behavior: the active set holds at most retention+pruneInterval of
-// history.
-const pruneInterval = retention / 4
-
-// prune drops transmissions that can no longer affect any reception and
-// rebuilds the lookup indexes.
+// prune drops the transmissions no verdict can ask for any more. A
+// verdict on t looks at the transmissions that were on the air after
+// t.Start, and is out by t.End; any t still unjudged (or yet to start)
+// has t.Start > now-horizon, so whatever ended before now-horizon is
+// beyond reach — however long the frames are. LookupTX holds for the
+// same span, which covers a transmission's own last verdict at its End.
 func (m *Medium) prune() {
 	now := m.sim.Now()
-	cutoff := now - retention
-	if cutoff <= 0 || len(m.active) == 0 || m.active[0].End >= cutoff ||
-		now < m.lastPrune+pruneInterval {
+	if now < m.lastPrune+pruneInterval {
 		return
 	}
 	m.lastPrune = now
-	kept := m.active[:0]
-	for _, t := range m.active {
-		if t.End >= cutoff {
-			kept = append(kept, t)
-		} else {
-			delete(m.byID, t.ID)
-		}
-	}
-	// Zero the tail so the GC can reclaim dropped transmissions.
-	for i := len(kept); i < len(m.active); i++ {
-		m.active[i] = nil
-	}
-	m.active = kept
-	for b, list := range m.byBin {
-		kl := list[:0]
-		for _, t := range list {
-			if t.End >= cutoff {
-				kl = append(kl, t)
+	cutoff := now - m.horizon
+	for b := range m.bins {
+		for dr := range m.bins[b].lanes {
+			l := &m.bins[b].lanes[dr]
+			n := 0
+			for k, t := range l.txs {
+				if t.End >= cutoff {
+					l.txs[n], l.starts[n] = t, l.starts[k]
+					n++
+				} else {
+					delete(m.byID, t.ID)
+				}
 			}
-		}
-		for i := len(kl); i < len(list); i++ {
-			list[i] = nil
-		}
-		if len(kl) == 0 {
-			delete(m.byBin, b)
-		} else {
-			m.byBin[b] = kl
+			// Zero the tail so the GC can reclaim dropped transmissions.
+			clear(l.txs[n:])
+			l.txs, l.starts = l.txs[:n], l.starts[:n]
 		}
 	}
 }
@@ -723,8 +808,8 @@ func (m *Medium) WirePort(p *Port) {
 	})
 }
 
-// LookupTX resolves a recently active transmission by id, or nil if it has
-// been pruned.
+// LookupTX resolves a transmission by id from its start until at least its
+// last verdict (see prune), or nil once it has been pruned.
 func (m *Medium) LookupTX(id int64) *Transmission { return m.byID[id] }
 
 var noiseFloorLin125 = dbmToMw(noiseFloor125)

@@ -14,6 +14,22 @@ import (
 // Box-Muller shadowing draw, not a trimmed model.
 func benchEnv() phy.Environment { return phy.Urban(7) }
 
+// walkCensus counts, from now on, the transmissions the neighbour walks hand
+// to their callbacks and the math.Pow evaluations the judgement's memo lets
+// through; the returned func reports both per transmission beside ns/op.
+func walkCensus(b *testing.B, med *Medium) (report func()) {
+	visits := 0
+	med.onWalk = func(_ region.Channel, _ des.Time, n int) { visits += n }
+	return func() {
+		pows := uint64(0)
+		if med.judgement.memo != nil {
+			pows = med.judgement.memo.misses
+		}
+		b.ReportMetric(float64(visits)/float64(b.N), "visits/tx")
+		b.ReportMetric(float64(pows)/float64(b.N), "pow/tx")
+	}
+}
+
 // BenchmarkMediumJudge measures the medium's full reception pipeline —
 // Transmit fan-out, preamble burial checks, and decode judgement — under
 // a contended city-like load: 64 fixed node positions, 5 ports, Poisson-ish
@@ -41,6 +57,7 @@ func BenchmarkMediumJudge(b *testing.B) {
 	}
 	med.Deliveries.Subscribe(func(Delivery) {})
 	med.Drops.Subscribe(func(Drop) {})
+	report := walkCensus(b, med)
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -55,6 +72,23 @@ func BenchmarkMediumJudge(b *testing.B) {
 		sim.RunUntil(sim.Now() + 3*des.Millisecond)
 	}
 	sim.Run()
+	report()
+}
+
+// BenchmarkMediumWalk is the neighbour walk under a node-city-like load
+// (cityLoad: two operators, mixed data rates, Poisson arrivals at 250 a
+// second): visits/tx is what TestWalkVisitBudget bounds, pow/tx what the
+// judgement's linear-power memo leaves of one math.Pow per interferer.
+func BenchmarkMediumWalk(b *testing.B) {
+	b.ReportAllocs()
+	c := newCityLoad(b)
+	report := walkCensus(b, c.med)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.next()
+	}
+	c.sim.Run()
+	report()
 }
 
 // BenchmarkMediumFanOut isolates the interest-index win: a dense city of

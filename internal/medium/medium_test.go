@@ -348,7 +348,7 @@ func TestPruneKeepsJudgementCorrect(t *testing.T) {
 	if len(rg.deliveries) != 100 {
 		t.Errorf("sequential packets must all deliver, got %d", len(rg.deliveries))
 	}
-	if n := len(rg.med.active); n > 5 {
-		t.Errorf("active list must be pruned, still %d entries", n)
+	if n := len(rg.med.byID); n > 5 {
+		t.Errorf("retained set must be pruned, still %d entries", n)
 	}
 }
