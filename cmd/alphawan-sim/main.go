@@ -30,7 +30,13 @@ import (
 	"github.com/alphawan/alphawan/internal/runner"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main without the process: it parses args, runs the selected
+// mode writing to stdout/stderr, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	flag := flag.NewFlagSet("alphawan-sim", flag.ContinueOnError)
+	flag.SetOutput(stderr)
 	list := flag.Bool("list", false, "list experiment ids")
 	run := flag.String("run", "", "experiment id to run, or 'all'")
 	seed := flag.Int64("seed", 1, "simulation seed")
@@ -51,7 +57,9 @@ func main() {
 		"with -trace: MAC strategy of the built-in scenario (pure|slotted|capture)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken at exit to this file")
-	flag.Parse()
+	if err := flag.Parse(args); err != nil {
+		return 2
+	}
 
 	if *parallel > 0 {
 		runner.SetMaxWorkers(*parallel)
@@ -59,12 +67,12 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "alphawan-sim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "alphawan-sim: %v\n", err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "alphawan-sim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "alphawan-sim: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		defer pprof.StopCPUProfile()
@@ -73,12 +81,12 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "alphawan-sim: %v\n", err)
+				fmt.Fprintf(stderr, "alphawan-sim: %v\n", err)
 				return
 			}
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "alphawan-sim: %v\n", err)
+				fmt.Fprintf(stderr, "alphawan-sim: %v\n", err)
 			}
 			f.Close()
 		}()
@@ -86,50 +94,51 @@ func main() {
 
 	switch {
 	case *faultsPlan != "" && *adaptive:
-		runAdaptiveChaos(*faultsPlan, *seed, *replanInterval, *progress)
+		return runAdaptiveChaos(stdout, stderr, *faultsPlan, *seed, *replanInterval, *progress)
 	case *faultsPlan != "":
-		runChaos(*faultsPlan, *trace, *seed, *progress)
+		return runChaos(stdout, stderr, *faultsPlan, *trace, *seed, *progress)
 	case *trace != "":
 		kind, err := mac.ParseKind(*macFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "alphawan-sim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "alphawan-sim: %v\n", err)
+			return 1
 		}
-		runTrace(*trace, *seed, kind, *progress)
+		return runTrace(stdout, stderr, *trace, *seed, kind, *progress)
 	case *list:
 		for _, e := range experiments.All() {
-			fmt.Printf("%-8s  %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-8s  %s\n", e.ID, e.Title)
 		}
 	case *run == "all":
 		for _, e := range experiments.All() {
-			runOne(e, *seed, *csv)
+			runOne(stdout, e, *seed, *csv)
 		}
 	case *run != "":
 		e, ok := experiments.Get(*run)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *run)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "unknown experiment %q; try -list\n", *run)
+			return 1
 		}
-		runOne(e, *seed, *csv)
+		runOne(stdout, e, *seed, *csv)
 	default:
 		flag.Usage()
-		os.Exit(2)
+		return 2
 	}
+	return 0
 }
 
 // runTrace runs the built-in two-operator coexistence scenario under the
 // chosen MAC strategy with the packet-lifecycle tracer attached and
 // prints the final loss breakdown.
-func runTrace(path string, seed int64, kind mac.Kind, progress bool) {
+func runTrace(stdout, stderr io.Writer, path string, seed int64, kind mac.Kind, progress bool) int {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "alphawan-sim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "alphawan-sim: %v\n", err)
+		return 1
 	}
 	w := bufio.NewWriter(f)
-	var prog *os.File
+	var prog io.Writer
 	if progress {
-		prog = os.Stderr
+		prog = stderr
 	}
 	n, tr := sinks.RunDemoMAC(seed, kind, w, prog)
 	if err := tr.Err(); err == nil {
@@ -141,26 +150,27 @@ func runTrace(path string, seed int64, kind mac.Kind, progress bool) {
 		err = cerr
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "alphawan-sim: trace write: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "alphawan-sim: trace write: %v\n", err)
+		return 1
 	}
 	tot := n.Col.Total()
-	fmt.Printf("trace: %d records -> %s\n", tr.Records(), path)
-	fmt.Printf("sent=%d received=%d PRR=%.1f%%\n", tot.Sent, tot.Received, 100*tot.PRR())
+	fmt.Fprintf(stdout, "trace: %d records -> %s\n", tr.Records(), path)
+	fmt.Fprintf(stdout, "sent=%d received=%d PRR=%.1f%%\n", tot.Sent, tot.Received, 100*tot.PRR())
 	for c := metrics.DecoderContentionIntra; c <= metrics.Others; c++ {
-		fmt.Printf("  lost to %-26s %d\n", c.String()+":", tot.Losses[c])
+		fmt.Fprintf(stdout, "  lost to %-26s %d\n", c.String()+":", tot.Losses[c])
 	}
+	return 0
 }
 
 // runChaos runs the built-in scenario with a fault plan injected,
 // optionally tracing, and prints the episode schedule, the injector's
 // intervention counters, the final loss breakdown, and the invariant
 // verdict. A run with invariant violations exits non-zero.
-func runChaos(planPath, tracePath string, seed int64, progress bool) {
+func runChaos(stdout, stderr io.Writer, planPath, tracePath string, seed int64, progress bool) int {
 	plan, err := faults.LoadPlan(planPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "alphawan-sim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "alphawan-sim: %v\n", err)
+		return 1
 	}
 
 	var w io.Writer
@@ -169,15 +179,15 @@ func runChaos(planPath, tracePath string, seed int64, progress bool) {
 	if tracePath != "" {
 		f, err = os.Create(tracePath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "alphawan-sim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "alphawan-sim: %v\n", err)
+			return 1
 		}
 		bw = bufio.NewWriter(f)
 		w = bw
 	}
-	var prog *os.File
+	var prog io.Writer
 	if progress {
-		prog = os.Stderr
+		prog = stderr
 	}
 
 	n, tr, inj, inv := sinks.RunChaosDemo(seed, plan, w, prog)
@@ -192,37 +202,37 @@ func runChaos(planPath, tracePath string, seed int64, progress bool) {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "alphawan-sim: trace write: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "alphawan-sim: trace write: %v\n", err)
+			return 1
 		}
-		fmt.Printf("trace: %d records -> %s\n", tr.Records(), tracePath)
+		fmt.Fprintf(stdout, "trace: %d records -> %s\n", tr.Records(), tracePath)
 	}
 
-	fmt.Printf("fault plan: %s (%d episodes)\n", planPath, len(plan.Episodes))
+	fmt.Fprintf(stdout, "fault plan: %s (%d episodes)\n", planPath, len(plan.Episodes))
 	for i := range plan.Episodes {
-		fmt.Printf("  %s\n", &plan.Episodes[i])
+		fmt.Fprintf(stdout, "  %s\n", &plan.Episodes[i])
 	}
 	st := inj.Stats()
-	fmt.Printf("injected: backhaul drop=%d dup=%d reorder=%d delayed=%d; commands drop=%d delayed=%d\n",
+	fmt.Fprintf(stdout, "injected: backhaul drop=%d dup=%d reorder=%d delayed=%d; commands drop=%d delayed=%d\n",
 		st.BackhaulDropped, st.BackhaulDuplicated, st.BackhaulReordered, st.BackhaulDelayed,
 		st.CommandsDropped, st.CommandsDelayed)
 
 	tot := n.Col.Total()
-	fmt.Printf("sent=%d received=%d PRR=%.1f%%\n", tot.Sent, tot.Received, 100*tot.PRR())
+	fmt.Fprintf(stdout, "sent=%d received=%d PRR=%.1f%%\n", tot.Sent, tot.Received, 100*tot.PRR())
 	for c := metrics.DecoderContentionIntra; c <= metrics.Others; c++ {
-		fmt.Printf("  lost to %-26s %d\n", c.String()+":", tot.Losses[c])
+		fmt.Fprintf(stdout, "  lost to %-26s %d\n", c.String()+":", tot.Losses[c])
 	}
 
 	violations := inv.Finish()
 	if len(violations) == 0 {
-		fmt.Printf("invariants: all held (%d transmissions checked)\n", inv.Started())
-		return
+		fmt.Fprintf(stdout, "invariants: all held (%d transmissions checked)\n", inv.Started())
+		return 0
 	}
-	fmt.Printf("invariants: %d VIOLATIONS\n", len(violations))
+	fmt.Fprintf(stdout, "invariants: %d VIOLATIONS\n", len(violations))
 	for _, v := range violations {
-		fmt.Printf("  %s\n", v)
+		fmt.Fprintf(stdout, "  %s\n", v)
 	}
-	os.Exit(1)
+	return 1
 }
 
 // runAdaptiveChaos runs the planned two-gateway-per-operator scenario
@@ -231,71 +241,71 @@ func runChaos(planPath, tracePath string, seed int64, progress bool) {
 // the injector's counters, the final loss breakdown, and the invariant
 // verdict (plan-swap safety included). A run with invariant violations
 // exits non-zero.
-func runAdaptiveChaos(planPath string, seed int64, intervalS float64, progress bool) {
+func runAdaptiveChaos(stdout, stderr io.Writer, planPath string, seed int64, intervalS float64, progress bool) int {
 	plan, err := faults.LoadPlan(planPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "alphawan-sim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "alphawan-sim: %v\n", err)
+		return 1
 	}
 	interval := des.Time(intervalS * float64(des.Second))
 	if interval <= 0 {
-		fmt.Fprintf(os.Stderr, "alphawan-sim: -replan-interval must be positive\n")
-		os.Exit(1)
+		fmt.Fprintf(stderr, "alphawan-sim: -replan-interval must be positive\n")
+		return 1
 	}
-	var prog *os.File
+	var prog io.Writer
 	if progress {
-		prog = os.Stderr
+		prog = stderr
 	}
 
 	n, inj, inv, ctrls := sinks.RunAdaptiveDemo(seed, plan, interval, prog)
 
-	fmt.Printf("fault plan: %s (%d episodes, shifted to traffic start)\n", planPath, len(plan.Episodes))
+	fmt.Fprintf(stdout, "fault plan: %s (%d episodes, shifted to traffic start)\n", planPath, len(plan.Episodes))
 	for i := range plan.Episodes {
-		fmt.Printf("  %s\n", &plan.Episodes[i])
+		fmt.Fprintf(stdout, "  %s\n", &plan.Episodes[i])
 	}
 	for i, ctrl := range ctrls {
 		r, a, p := ctrl.Replans()
-		fmt.Printf("operator %d: %d replans, %d adopted, %d genes pushed\n", i, r, a, p)
+		fmt.Fprintf(stdout, "operator %d: %d replans, %d adopted, %d genes pushed\n", i, r, a, p)
 	}
 	st := inj.Stats()
-	fmt.Printf("injected: backhaul drop=%d dup=%d reorder=%d delayed=%d; commands drop=%d delayed=%d\n",
+	fmt.Fprintf(stdout, "injected: backhaul drop=%d dup=%d reorder=%d delayed=%d; commands drop=%d delayed=%d\n",
 		st.BackhaulDropped, st.BackhaulDuplicated, st.BackhaulReordered, st.BackhaulDelayed,
 		st.CommandsDropped, st.CommandsDelayed)
 
 	tot := n.Col.Total()
-	fmt.Printf("sent=%d received=%d PRR=%.1f%%\n", tot.Sent, tot.Received, 100*tot.PRR())
+	fmt.Fprintf(stdout, "sent=%d received=%d PRR=%.1f%%\n", tot.Sent, tot.Received, 100*tot.PRR())
 	for c := metrics.DecoderContentionIntra; c <= metrics.Others; c++ {
-		fmt.Printf("  lost to %-26s %d\n", c.String()+":", tot.Losses[c])
+		fmt.Fprintf(stdout, "  lost to %-26s %d\n", c.String()+":", tot.Losses[c])
 	}
 
 	violations := inv.Finish()
 	if len(violations) == 0 {
-		fmt.Printf("invariants: all held (%d transmissions checked)\n", inv.Started())
-		return
+		fmt.Fprintf(stdout, "invariants: all held (%d transmissions checked)\n", inv.Started())
+		return 0
 	}
-	fmt.Printf("invariants: %d VIOLATIONS\n", len(violations))
+	fmt.Fprintf(stdout, "invariants: %d VIOLATIONS\n", len(violations))
 	for _, v := range violations {
-		fmt.Printf("  %s\n", v)
+		fmt.Fprintf(stdout, "  %s\n", v)
 	}
-	os.Exit(1)
+	return 1
 }
 
-func runOne(e experiments.Experiment, seed int64, csv bool) {
-	fmt.Printf("# %s — %s\n", e.ID, e.Title)
-	fmt.Printf("# paper: %s\n", e.Paper)
+func runOne(stdout io.Writer, e experiments.Experiment, seed int64, csv bool) {
+	fmt.Fprintf(stdout, "# %s — %s\n", e.ID, e.Title)
+	fmt.Fprintf(stdout, "# paper: %s\n", e.Paper)
 	res := e.Run(seed)
 	if csv {
-		fmt.Print(res.Table.CSV())
+		fmt.Fprint(stdout, res.Table.CSV())
 	} else {
-		fmt.Print(res.Table.String())
+		fmt.Fprint(stdout, res.Table.String())
 	}
 	for _, n := range res.Notes {
-		fmt.Printf("-> %s\n", n)
+		fmt.Fprintf(stdout, "-> %s\n", n)
 	}
 	// Sidecar lines are wall-clock/host-bound observations: informative,
 	// but excluded from the deterministic, seed-reproducible output above.
 	for _, s := range res.Sidecar {
-		fmt.Printf("~> %s\n", s)
+		fmt.Fprintf(stdout, "~> %s\n", s)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 }
