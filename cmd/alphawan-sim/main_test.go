@@ -44,7 +44,7 @@ func runCLI(t *testing.T, trace bool, args ...string) (code int, stdout, stderr 
 // written, against testdata/<name>.golden. Regenerate after an intended
 // change with
 //
-//	go test -run CLIGolden -update ./cmd/alphawan-sim/
+//	go test ./cmd/alphawan-sim/ -run CLIGolden -update
 //
 // and review the diff.
 func TestCLIGolden(t *testing.T) {
@@ -85,5 +85,60 @@ func TestCLIGolden(t *testing.T) {
 				t.Errorf("diverges from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 			}
 		})
+	}
+}
+
+// TestCLIFlagsCompose pins the flags that used to be dropped without a
+// word: the closed-loop run takes -trace and -mac like the others.
+func TestCLIFlagsCompose(t *testing.T) {
+	args := []string{"-seed", "1", "-faults", adaptivePlan, "-adaptive"}
+	code, stdout, stderr, pure := runCLI(t, true, args...)
+	if code != 0 || len(pure) == 0 || !strings.HasPrefix(stdout, "trace: ") {
+		t.Fatalf("-adaptive -trace: exit %d, %d trace bytes\nstdout:\n%s\nstderr:\n%s", code, len(pure), stdout, stderr)
+	}
+	code, _, stderr, slotted := runCLI(t, true, append(args, "-mac", "slotted")...)
+	if code != 0 {
+		t.Fatalf("-adaptive -trace -mac slotted: exit %d\n%s", code, stderr)
+	}
+	if bytes.Equal(pure, slotted) {
+		t.Error("-adaptive ignores -mac: slotted trace equals the pure one")
+	}
+
+	_, _, _, chaosPure := runCLI(t, true, "-seed", "1", "-faults", demoPlan)
+	_, _, _, chaosSlotted := runCLI(t, true, "-seed", "1", "-faults", demoPlan, "-mac", "slotted")
+	if bytes.Equal(chaosPure, chaosSlotted) {
+		t.Error("-faults ignores -mac: slotted trace equals the pure one")
+	}
+}
+
+// TestCLIRejects: flag combinations that mean nothing are usage errors
+// (exit 2), and a plan the scenario cannot host is an error (exit 1) —
+// none falls through to another mode, none panics.
+func TestCLIRejects(t *testing.T) {
+	badPlan := filepath.Join(t.TempDir(), "plan.json")
+	if err := os.WriteFile(badPlan, []byte(`{"episodes":[{"kind":"gateway-outage","gateway":9,"start_s":1,"end_s":2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		want int
+		args []string
+	}{
+		{2, []string{"-adaptive"}},
+		{2, []string{"-adaptive", "-trace", filepath.Join(t.TempDir(), "t.jsonl")}},
+		{2, []string{"-faults", adaptivePlan, "-adaptive", "-replan-interval", "0"}},
+		{2, []string{"-faults", adaptivePlan, "-adaptive", "-replan-interval", "-3"}},
+		{2, []string{"-faults", adaptivePlan, "-adaptive", "-replan-interval", "1e-9"}},
+		{2, []string{"-faults", adaptivePlan, "-adaptive", "-replan-interval", "NaN"}},
+		{2, []string{"-faults", adaptivePlan, "-adaptive", "-replan-interval", "Inf"}},
+		{2, []string{"-no-such-flag"}},
+		{2, nil},
+		{1, []string{"-faults", badPlan}},
+		{1, []string{"-faults", demoPlan, "-mac", "tdma"}},
+		{1, []string{"-run", "no-such-figure"}},
+	} {
+		code, stdout, stderr, _ := runCLI(t, false, tc.args...)
+		if code != tc.want || stdout != "" || stderr == "" {
+			t.Errorf("%v: exit %d (want %d), stdout %q, stderr %q", tc.args, code, tc.want, stdout, stderr)
+		}
 	}
 }

@@ -725,10 +725,3 @@ func (s *solver) repair(a *cp.Assignment) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -159,10 +159,3 @@ func (l *LMAC) Send(n *node.Node, ch region.Channel) {
 		n.SendOn(l.med, ch)
 	})
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,4 +1,6 @@
-package sinks
+// The tests drive the sinks on the built-in two-operator scenario, which
+// scenario composes on top of this package — hence the external package.
+package sinks_test
 
 import (
 	"bufio"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/alphawan/alphawan/internal/metrics"
+	"github.com/alphawan/alphawan/internal/scenario"
 )
 
 // record mirrors the tracer's JSONL fields for decoding in tests.
@@ -24,10 +27,14 @@ type record struct {
 	SNR    float64 `json:"snr"`
 }
 
-func runTraced(t *testing.T, seed int64) ([]record, metrics.NetworkStats) {
+func tracedRun(t *testing.T, seed int64) ([]record, metrics.NetworkStats) {
 	t.Helper()
 	var buf bytes.Buffer
-	n, tr := RunDemo(seed, &buf, nil)
+	out, err := scenario.Demo{Seed: seed, Trace: &buf}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := out.Tracer
 	if err := tr.Err(); err != nil {
 		t.Fatalf("tracer error: %v", err)
 	}
@@ -47,11 +54,11 @@ func runTraced(t *testing.T, seed int64) ([]record, metrics.NetworkStats) {
 	if len(recs) != tr.Records() {
 		t.Fatalf("parsed %d records, tracer wrote %d", len(recs), tr.Records())
 	}
-	return recs, n.Col.Total()
+	return recs, out.Net.Col.Total()
 }
 
 func TestTraceMatchesCollectorTotals(t *testing.T) {
-	recs, tot := runTraced(t, 3)
+	recs, tot := tracedRun(t, 3)
 	if tot.Sent == 0 {
 		t.Fatal("demo scenario sent nothing")
 	}
@@ -152,7 +159,7 @@ func TestTraceMatchesCollectorTotals(t *testing.T) {
 }
 
 func TestTraceLifecycleEdges(t *testing.T) {
-	recs, tot := runTraced(t, 5)
+	recs, tot := tracedRun(t, 5)
 	starts := map[int64]bool{}
 	done := map[int64]bool{}
 	fates := map[int64]int{}
@@ -197,7 +204,9 @@ func TestTraceLifecycleEdges(t *testing.T) {
 
 func TestSummarySink(t *testing.T) {
 	var prog bytes.Buffer
-	_, _ = RunDemo(3, nil, &prog)
+	if _, err := (scenario.Demo{Seed: 3, Progress: &prog}).Run(); err != nil {
+		t.Fatal(err)
+	}
 	out := prog.String()
 	lines := strings.Count(out, "\n")
 	// 20 s window at a 5 s interval plus the final flush.

@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"testing"
 
-	"github.com/alphawan/alphawan/internal/events/sinks"
 	"github.com/alphawan/alphawan/internal/faults"
+	"github.com/alphawan/alphawan/internal/mac"
 	"github.com/alphawan/alphawan/internal/runner"
+	"github.com/alphawan/alphawan/internal/scenario"
 )
 
 // TestChaosTraceDeterminism is the chaos counterpart of
@@ -20,15 +21,12 @@ func TestChaosTraceDeterminism(t *testing.T) {
 	const seed = 7
 	run := func() (string, string, faults.Stats, int, int, int) {
 		var trace, prog bytes.Buffer
-		n, tr, inj, inv := sinks.RunChaosDemo(seed, faults.DemoPlan(), &trace, &prog)
-		if err := tr.Err(); err != nil {
-			t.Fatalf("tracer error: %v", err)
-		}
-		if v := inv.Finish(); len(v) != 0 {
+		out := runDemo(t, scenario.Demo{Seed: seed, Faults: faults.DemoPlan(), Trace: &trace, Progress: &prog})
+		if v := out.Invariants.Finish(); len(v) != 0 {
 			t.Fatalf("invariant violations under demo plan: %v", v)
 		}
-		tot := n.Col.Total()
-		return trace.String(), prog.String(), inj.Stats(), tot.Sent, tot.Received, tr.Records()
+		tot := out.Net.Col.Total()
+		return trace.String(), prog.String(), out.Injector.Stats(), tot.Sent, tot.Received, out.Tracer.Records()
 	}
 	t1, p1, s1, sent1, recv1, rec1 := run()
 	t2, p2, s2, sent2, recv2, rec2 := run()
@@ -53,33 +51,30 @@ func TestChaosTraceDeterminism(t *testing.T) {
 // TestEmptyPlanMatchesPlainRun pins the no-op contract: attaching an
 // empty fault plan must not perturb the run at all — the chaos path with
 // zero episodes emits exactly the bytes of the plain trace path at the
-// same seed. This is what keeps `-faults` safe to wire into the demo
+// same seed, under every MAC strategy (`-faults` used to drop `-mac` on
+// the floor). This is what keeps `-faults` safe to wire into the demo
 // without forking the baseline outputs.
 func TestEmptyPlanMatchesPlainRun(t *testing.T) {
 	const seed = 3
-	var plainTrace, plainProg bytes.Buffer
-	_, tr := sinks.RunDemo(seed, &plainTrace, &plainProg)
-	if err := tr.Err(); err != nil {
-		t.Fatalf("tracer error: %v", err)
-	}
+	for _, kind := range mac.Kinds() {
+		var plainTrace, plainProg bytes.Buffer
+		runDemo(t, scenario.Demo{Seed: seed, MAC: kind, Trace: &plainTrace, Progress: &plainProg})
 
-	var chaosTrace, chaosProg bytes.Buffer
-	_, ctr, inj, inv := sinks.RunChaosDemo(seed, &faults.Plan{}, &chaosTrace, &chaosProg)
-	if err := ctr.Err(); err != nil {
-		t.Fatalf("chaos tracer error: %v", err)
-	}
-	if v := inv.Finish(); len(v) != 0 {
-		t.Fatalf("invariant violations on an empty plan: %v", v)
-	}
-	if s := inj.Stats(); s != (faults.Stats{}) {
-		t.Errorf("empty plan intervened: %+v", s)
-	}
+		var chaosTrace, chaosProg bytes.Buffer
+		out := runDemo(t, scenario.Demo{Seed: seed, MAC: kind, Faults: &faults.Plan{}, Trace: &chaosTrace, Progress: &chaosProg})
+		if v := out.Invariants.Finish(); len(v) != 0 {
+			t.Fatalf("%v: invariant violations on an empty plan: %v", kind, v)
+		}
+		if s := out.Injector.Stats(); s != (faults.Stats{}) {
+			t.Errorf("%v: empty plan intervened: %+v", kind, s)
+		}
 
-	if plainTrace.String() != chaosTrace.String() {
-		t.Error("empty-plan chaos trace diverges from the plain trace")
-	}
-	if plainProg.String() != chaosProg.String() {
-		t.Error("empty-plan chaos summary diverges from the plain summary")
+		if plainTrace.String() != chaosTrace.String() {
+			t.Errorf("%v: empty-plan chaos trace diverges from the plain trace", kind)
+		}
+		if plainProg.String() != chaosProg.String() {
+			t.Errorf("%v: empty-plan chaos summary diverges from the plain summary", kind)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"github.com/alphawan/alphawan/internal/baseline"
 	"github.com/alphawan/alphawan/internal/lora"
 	"github.com/alphawan/alphawan/internal/phy"
-	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/sim"
 )
@@ -124,16 +123,7 @@ func assignDistinctPairs(n *sim.Network, op *sim.Operator, band region.Band) {
 		if !assigned {
 			// No free feasible pair: fall back to the node's best link
 			// (duplicate settings — it may collide, as in reality).
-			nd.DR = lora.DR(maxInt(best[i], 0))
+			nd.DR = lora.DR(max(best[i], 0))
 		}
 	}
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-var _ = radio.SX1302

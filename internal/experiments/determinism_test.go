@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/alphawan/alphawan/internal/events/sinks"
 	"github.com/alphawan/alphawan/internal/runner"
+	"github.com/alphawan/alphawan/internal/scenario"
 )
 
 // withProfile installs the shrunken profile for the duration of a test
@@ -16,6 +16,22 @@ func withProfile(t *testing.T, p profileT) {
 	prev := prof
 	prof = p
 	t.Cleanup(func() { prof = prev })
+}
+
+// runDemo runs the built-in scenario, failing the test on a composition
+// or tracer error.
+func runDemo(t *testing.T, d scenario.Demo) *scenario.Outcome {
+	t.Helper()
+	out, err := d.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Tracer != nil {
+		if err := out.Tracer.Err(); err != nil {
+			t.Fatalf("tracer error: %v", err)
+		}
+	}
+	return out
 }
 
 // renderResult flattens a Result to one comparable string: the table in
@@ -51,11 +67,8 @@ func TestTraceDeterminism(t *testing.T) {
 	const seed = 7
 	run := func() (string, string) {
 		var trace, prog bytes.Buffer
-		_, tr := sinks.RunDemo(seed, &trace, &prog)
-		if err := tr.Err(); err != nil {
-			t.Fatalf("tracer error: %v", err)
-		}
-		if tr.Records() == 0 {
+		out := runDemo(t, scenario.Demo{Seed: seed, Trace: &trace, Progress: &prog})
+		if out.Tracer.Records() == 0 {
 			t.Fatal("empty trace")
 		}
 		return trace.String(), prog.String()

@@ -69,31 +69,29 @@ func cityOperator(n *sim.Network, band region.Band, gws, phys int, seed int64) *
 	return op
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// emulateUsers starts duty-cycled Poisson traffic on the operator's
+// physical nodes standing in for `users` users from start to stop, as the
+// paper's §5.2.1 emulation does (one node stands in for up to ten users).
+func emulateUsers(n *sim.Network, op *sim.Operator, users int, duty float64, start, stop des.Time) {
+	factor := float64(users) / float64(len(op.Nodes))
+	for _, nd := range op.Nodes {
+		// Each emulated user fills its regulatory duty budget, so a node
+		// standing in for k users transmits k× as often — the paper's
+		// §5.2.1 elevated-duty emulation.
+		mean := des.Time(float64(traffic.MeanIntervalForDutyCycle(nd, duty)) / factor)
+		// The node carries many users' slots: no regulatory silence,
+		// but its emulated users occupy distinct time slots (§5.2.1),
+		// i.e. the node never overlaps itself.
+		nd.DutyCycle = 1
+		traffic.StartPoisson(n.Med, nd, start, stop, mean)
 	}
-	return b
 }
 
-// cityLoad runs duty-cycled background traffic emulating `users` users on
-// the operator's physical nodes for the window, as the paper's §5.2.1
-// emulation does (one node stands in for up to ten users).
+// cityLoad runs the window with every operator emulating usersPerOp users.
 func cityLoad(n *sim.Network, ops []*sim.Operator, usersPerOp int, duty float64, window des.Time) {
 	start := n.Sim.Now()
 	for _, op := range ops {
-		factor := float64(usersPerOp) / float64(len(op.Nodes))
-		for _, nd := range op.Nodes {
-			// Each emulated user fills its regulatory 1% duty budget, so a
-			// node standing in for k users transmits k× as often — the
-			// paper's §5.2.1 elevated-duty emulation.
-			mean := des.Time(float64(traffic.MeanIntervalForDutyCycle(nd, duty)) / factor)
-			// The node carries many users' slots: no regulatory silence,
-			// but its emulated users occupy distinct time slots (§5.2.1),
-			// i.e. the node never overlaps itself.
-			nd.DutyCycle = 1
-			traffic.StartPoisson(n.Med, nd, start, start+window, mean)
-		}
+		emulateUsers(n, op, usersPerOp, duty, start, start+window)
 	}
 	n.Sim.RunUntil(start + window + des.Minute)
 }

@@ -49,7 +49,7 @@ func init() {
 func planProbe(seed int64, gws int, nodeSide bool, fixedChannels int) int {
 	n, op := buildCity(seed, region.Testbed, gws)
 	n.LearningSweep(0, des.Second, region.Testbed.AllChannels(), 3)
-	if _, err := alphaWANPlan(n, op, region.Testbed.AllChannels(), nodeSide, fixedChannels, seed); err != nil {
+	if _, err := alphaWANPlan(op, region.Testbed.AllChannels(), nodeSide, fixedChannels, seed); err != nil {
 		panic(err)
 	}
 	got := n.CapacityProbe(n.Sim.Now() + 10*des.Second)
@@ -140,7 +140,7 @@ func runFig12b(seed int64) *Result {
 			}
 			if plan {
 				n.LearningSweep(0, des.Second, band.AllChannels(), 3)
-				if _, err := alphaWANPlan(n, op, band.AllChannels(), true, fixed, seed); err != nil {
+				if _, err := alphaWANPlan(op, band.AllChannels(), true, fixed, seed); err != nil {
 					panic(err)
 				}
 			}
@@ -169,22 +169,8 @@ func runFig12b(seed int64) *Result {
 		}
 		res.Table.AddRow(mhz, users, c.std, c.rnd, c.noS1, c.full, stdMHz, fullMHz)
 	}
-	res.Note("full AlphaWAN per-MHz efficiency is %.1fx–%.1fx standard LoRaWAN's (paper: ≈3.9x / +292.2%%)", minf(firstRatio, lastRatio), maxf(firstRatio, lastRatio))
+	res.Note("full AlphaWAN per-MHz efficiency is %.1fx–%.1fx standard LoRaWAN's (paper: ≈3.9x / +292.2%%)", min(firstRatio, lastRatio), max(firstRatio, lastRatio))
 	return res
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func runFig12c(seed int64) *Result {
@@ -212,7 +198,7 @@ func runFig12c(seed int64) *Result {
 		n, op := buildCity(s, band, gws)
 		if v.plan {
 			n.LearningSweep(0, des.Second, band.AllChannels(), 3)
-			if _, err := alphaWANPlan(n, op, band.AllChannels(), v.nodeSide, 0, s); err != nil {
+			if _, err := alphaWANPlan(op, band.AllChannels(), v.nodeSide, 0, s); err != nil {
 				panic(err)
 			}
 		}

@@ -3,14 +3,13 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/alphawan/alphawan/internal/alphawan/evolve"
-	"github.com/alphawan/alphawan/internal/alphawan/planner"
 	"github.com/alphawan/alphawan/internal/baseline"
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/mac"
 	"github.com/alphawan/alphawan/internal/metrics"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/runner"
+	"github.com/alphawan/alphawan/internal/scenario"
 	"github.com/alphawan/alphawan/internal/sim"
 	"github.com/alphawan/alphawan/internal/tabulate"
 	"github.com/alphawan/alphawan/internal/traffic"
@@ -39,26 +38,6 @@ const (
 
 var fig13Names = []string{
 	"LoRaWAN (w/o ADR)", "LoRaWAN (w/ ADR)", "LMAC", "CIC", "Random CP", "AlphaWAN",
-}
-
-// installMAC applies a MAC strategy to an operator's population: a
-// slotted grid shared by every node (keyed per node ID for the skew
-// draw), or a capture model on the shared medium. KindPure installs
-// nothing, keeping the run byte-identical to the pre-MAC-seam code.
-func installMAC(n *sim.Network, op *sim.Operator, seed int64, kind mac.Kind) {
-	switch kind {
-	case mac.KindSlotted:
-		phyLen := 10 + 13
-		if len(op.Nodes) > 0 {
-			phyLen = op.Nodes[0].PayloadLen + 13
-		}
-		grid := mac.NewSlotGrid(seed, phyLen)
-		for _, nd := range op.Nodes {
-			nd.Slots = grid
-		}
-	case mac.KindCapture:
-		n.Med.Capture = mac.NewCurving()
-	}
 }
 
 // fig13Run runs one (strategy, MAC, user-scale) cell and returns the
@@ -90,7 +69,7 @@ func fig13Run(seed int64, strat fig13Strategy, kind mac.Kind, users int) metrics
 		// Plan with the expected concurrent traffic of the target scale.
 		// Expected concurrent packets per physical node: its emulated
 		// users' 1% duty budgets.
-		if err := alphaWANPlanTraffic(n, op, band.AllChannels(), seed,
+		if err := alphaWANLoadPlan(op, band.AllChannels(), seed,
 			float64(users)/float64(len(op.Nodes))*0.01); err != nil {
 			panic(err)
 		}
@@ -98,14 +77,16 @@ func fig13Run(seed int64, strat fig13Strategy, kind mac.Kind, users int) metrics
 	// The MAC overlay goes in after planning/learning: the serialized
 	// learning sweeps bypass the regulator (and with it the slot gate) by
 	// design, and the measured window is what the MAC shapes.
-	installMAC(n, op, seed, kind)
+	scenario.InstallMAC(n, op, seed, kind)
 
 	n.Col.Reset()
-	start := n.Sim.Now()
-	factor := float64(users) / float64(len(op.Nodes))
 	// Each emulated user fills its 1% duty budget (the paper's elevated
 	// duty-cycle emulation, §5.2.1).
 	if strat == stratLMAC {
+		// LMAC senses the channel before each send, so it drives the
+		// nodes itself, on cityLoad's schedule.
+		start := n.Sim.Now()
+		factor := float64(users) / float64(len(op.Nodes))
 		lmac := baseline.NewLMAC(n.Med)
 		for _, nd := range op.Nodes {
 			nd := nd
@@ -130,50 +111,9 @@ func fig13Run(seed int64, strat fig13Strategy, kind mac.Kind, users int) metrics
 		}
 		n.Sim.RunUntil(start + window + des.Minute)
 	} else {
-		for _, nd := range op.Nodes {
-			nd.DutyCycle = 1
-			mean := des.Time(float64(traffic.MeanIntervalForDutyCycle(nd, 0.01)) / factor)
-			traffic.StartPoisson(n.Med, nd, start, start+window, mean)
-		}
-		n.Sim.RunUntil(start + window + des.Minute)
+		cityLoad(n, []*sim.Operator{op}, users, 0.01, window)
 	}
 	return n.Col.Network(op.ID)
-}
-
-// alphaWANPlanTraffic plans with an explicit per-node traffic override
-// (expected concurrent packets contributed by each physical node at the
-// target emulated scale) and applies the result.
-func alphaWANPlanTraffic(n *sim.Network, op *sim.Operator, channels []region.Channel, seed int64, perNode float64) error {
-	if perNode <= 0 {
-		perNode = 0.01
-	}
-	if perNode > 1 {
-		perNode = 1
-	}
-	in := planner.Input{
-		Log:             op.Server.Log(),
-		Channels:        channels,
-		Gateways:        op.GatewayInfo(),
-		Sync:            op.Sync,
-		TrafficOverride: perNode,
-		NodeSide:        true,
-		MarginDB:        2,
-		TPC:             true,
-	}
-	in.Solver = evolve.DefaultOptions(seed)
-	in.Solver.Population = 96
-	in.Solver.Generations = 300
-	in.Solver.Patience = 60
-	applySolverProfile(&in.Solver.Population, &in.Solver.Generations, &in.Solver.Patience)
-	res, err := planner.Plan(in)
-	if err != nil {
-		return err
-	}
-	if err := op.ApplyGatewayConfigs(res.GWConfigs); err != nil {
-		return err
-	}
-	op.ApplyNodePlans(res.NodePlans)
-	return nil
 }
 
 func runFig13(seed int64) *Result {

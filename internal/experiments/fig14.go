@@ -39,7 +39,7 @@ func runFig14(seed int64) *Result {
 		n := sim.New(seed, testbedEnv(seed))
 		// Adopters register with a Master sized for the adopters; legacy
 		// networks use the standard grid plan (shift 0).
-		reg := master.NewRegistry(spec, maxInt(adopting, 1))
+		reg := master.NewRegistry(spec, max(adopting, 1))
 		var out cellOut
 		for k := 0; k < 4; k++ {
 			op := n.AddOperator()

@@ -51,7 +51,7 @@ func runFig17(seed int64) *Result {
 		sc := scenarios[i]
 		n, op := buildCity(seed, region.Testbed, sc.gws)
 		n.LearningSweep(0, des.Second, region.Testbed.AllChannels(), 3)
-		plan, err := alphaWANPlan(n, op, region.Testbed.AllChannels(), true, 0, seed)
+		plan, err := alphaWANPlan(op, region.Testbed.AllChannels(), true, 0, seed)
 		if err != nil {
 			panic(err)
 		}
@@ -115,7 +115,7 @@ func runFig17(seed int64) *Result {
 		// 4-gateway solve measurement per network (3k users each).
 		n, op := buildCity(seed, region.AS923, 3)
 		n.LearningSweep(0, des.Second, region.AS923.AllChannels(), 3)
-		plan, err := alphaWANPlan(n, op, region.AS923.AllChannels(), true, 0, seed)
+		plan, err := alphaWANPlan(op, region.AS923.AllChannels(), true, 0, seed)
 		if err != nil {
 			panic(err)
 		}

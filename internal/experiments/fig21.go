@@ -85,7 +85,7 @@ func (st *fig21State) measureWeek(week int) float64 {
 			// reach our decoders.
 			planChans = master.PlanChannelsWithShift(master.FromBand(st.band), 100_000)
 		}
-		if err := alphaWANPlanTraffic(n, op, planChans, st.seed,
+		if err := alphaWANLoadPlan(op, planChans, st.seed,
 			float64(st.users)/float64(phys)*0.005); err != nil {
 			panic(err)
 		}
@@ -95,17 +95,9 @@ func (st *fig21State) measureWeek(week int) float64 {
 	n.Col.Reset()
 	start := n.Sim.Now()
 	window := 2 * des.Minute
-	load := func(o *sim.Operator, users int) {
-		factor := float64(users) / float64(len(o.Nodes))
-		for _, nd := range o.Nodes {
-			nd.DutyCycle = 1
-			mean := des.Time(float64(traffic.MeanIntervalForDutyCycle(nd, 0.005)) / factor)
-			traffic.StartPoisson(n.Med, nd, start, start+window, mean)
-		}
-	}
-	load(op, st.users)
+	emulateUsers(n, op, st.users, 0.005, start, start+window)
 	if st.op2 != nil {
-		load(st.op2, 3430)
+		emulateUsers(n, st.op2, 3430, 0.005, start, start+window)
 	}
 	n.Sim.RunUntil(start + window + des.Minute)
 	return n.Col.Network(op.ID).PRR()

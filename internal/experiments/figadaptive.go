@@ -2,18 +2,14 @@ package experiments
 
 import (
 	"github.com/alphawan/alphawan/internal/adaptive"
-	"github.com/alphawan/alphawan/internal/alphawan/evolve"
 	"github.com/alphawan/alphawan/internal/alphawan/planner"
-	"github.com/alphawan/alphawan/internal/baseline"
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/faults"
 	"github.com/alphawan/alphawan/internal/medium"
 	"github.com/alphawan/alphawan/internal/metrics"
-	"github.com/alphawan/alphawan/internal/phy"
-	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/runner"
-	"github.com/alphawan/alphawan/internal/sim"
+	"github.com/alphawan/alphawan/internal/scenario"
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
@@ -63,24 +59,13 @@ type adaptCell struct {
 // outage lifts (static) or the control loop replans them onto the
 // surviving gateway's channels (adaptive).
 func runAdaptiveCell(seed int64, intensity float64, adapt bool) adaptCell {
-	n := sim.New(seed, flatEnv(seed))
+	n := scenario.TwoOperators(seed, flatEnv(seed), 2, prof.adaptNodes)
 	channels := region.AS923.AllChannels()
-	for i := 0; i < 2; i++ {
-		op := n.AddOperator()
-		for j := 0; j < 2; j++ {
-			cfg := baseline.StandardConfigs(region.AS923, 1, op.Sync)[0]
-			pos := phy.Pt(float64(i)*150, float64(j)*150)
-			if _, err := op.AddGateway(radio.Models[2], pos, cfg); err != nil {
-				panic(err)
-			}
-		}
-		op.UniformNodes(prof.adaptNodes, 2500, 2500, channels, seed+int64(i))
-	}
 	n.LearningSweep(0, 40*des.Millisecond, channels, 2)
 
 	plans := make([]*planner.Result, len(n.Operators))
 	for i, op := range n.Operators {
-		res, err := alphaWANPlan(n, op, channels, true, 4, seed+int64(i))
+		res, err := alphaWANPlan(op, channels, true, 4, seed+int64(i))
 		if err != nil {
 			panic(err)
 		}
@@ -91,40 +76,25 @@ func runAdaptiveCell(seed int64, intensity float64, adapt bool) adaptCell {
 	// downlinks time to land.
 	tStart := (n.Sim.Now()/des.Second + 2) * des.Second
 	window := prof.adaptWindow
-	plan := adaptPlan(tStart, window).Scale(intensity)
-	inj, err := faults.Attach(n, plan)
+	inj, inv, err := scenario.WatchFaults(n, adaptPlan(tStart, window).Scale(intensity))
 	if err != nil {
 		panic(err)
 	}
-	inv := faults.Watch(n)
-	inv.WatchInjector(inj)
 	inv.RecoveryFactor = 0.4
 
-	cell := adaptCell{}
 	var ctrls []*adaptive.Controller
 	if adapt {
-		view := new(adaptive.View)
-		view.WatchFaults(inj)
-		interval := window / 30
-		if interval < des.Second {
-			interval = des.Second
-		}
-		for i, op := range n.Operators {
-			cfg := adaptive.Config{
-				Start: tStart, Stop: tStart + window, Interval: interval,
-				Channels: channels,
-				Solver:   adaptiveSolver(seed + 7919*int64(i+1)),
-			}
-			ctrl, err := adaptive.Attach(n, op, plans[i], view, cfg)
-			if err != nil {
-				panic(err)
-			}
-			ctrl.Events.Subscribe(func(e adaptive.PlanEvent) {
-				if e.Adopted && e.Changed > 0 {
-					inv.NotePlanSwap(e.At)
-				}
-			})
-			ctrls = append(ctrls, ctrl)
+		// The bounded per-replan budget; the test profile shrinks it
+		// alongside the offline solver.
+		solver := scenario.ReplanSolver(seed)
+		applySolverProfile(&solver.Population, &solver.Generations, &solver.Patience)
+		ctrls, err = scenario.CloseLoop(n, plans, inj, inv, adaptive.Config{
+			Start: tStart, Stop: tStart + window, Interval: max(window/30, des.Second),
+			Channels: channels,
+			Solver:   solver,
+		})
+		if err != nil {
+			panic(err)
 		}
 	}
 
@@ -168,9 +138,11 @@ func runAdaptiveCell(seed int64, intensity float64, adapt bool) adaptCell {
 	n.Col.Reset()
 	n.RunBackgroundTraffic(tStart, tStart+window, des.Second)
 
-	cell.stats = n.Col.Total()
-	cell.violations = inv.Finish()
-	cell.recoverySecs = recoveryTime(buckets, windowSecs/3, windowSecs, intensity)
+	cell := adaptCell{
+		stats:        n.Col.Total(),
+		violations:   inv.Finish(),
+		recoverySecs: recoveryTime(buckets, windowSecs/3, windowSecs, intensity),
+	}
 	for _, ctrl := range ctrls {
 		r, a, pu := ctrl.Replans()
 		cell.replans += r
@@ -178,26 +150,6 @@ func runAdaptiveCell(seed int64, intensity float64, adapt bool) adaptCell {
 		cell.pushed += pu
 	}
 	return cell
-}
-
-// adaptiveSolver is the bounded per-replan GA budget: a fraction of the
-// offline planner's, warm-started from the incumbent, with the exact
-// polish pass on so adopted diffs stay locally tight. The test profile
-// shrinks it alongside the offline solver.
-func adaptiveSolver(seed int64) evolve.Options {
-	opt := evolve.Options{
-		Population:   48,
-		Generations:  80,
-		MutationRate: 0.15,
-		TournamentK:  3,
-		Elitism:      4,
-		Patience:     20,
-		Seed:         seed,
-		Parallel:     true,
-		ExactPolish:  true,
-	}
-	applySolverProfile(&opt.Population, &opt.Generations, &opt.Patience)
-	return opt
 }
 
 // recoveryTime measures how long after the outage begins (bucket

@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"github.com/alphawan/alphawan/internal/baseline"
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/faults"
 	"github.com/alphawan/alphawan/internal/metrics"
 	"github.com/alphawan/alphawan/internal/phy"
-	"github.com/alphawan/alphawan/internal/radio"
-	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/runner"
-	"github.com/alphawan/alphawan/internal/sim"
+	"github.com/alphawan/alphawan/internal/scenario"
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
@@ -55,25 +52,16 @@ type resilCell struct {
 // the canonical plan scaled to the intensity, and runs it under the
 // invariant checker.
 func runResilienceCell(seed int64, intensity float64) resilCell {
-	n := sim.New(seed, phy.Urban(seed))
-	for i := 0; i < 2; i++ {
-		op := n.AddOperator()
+	n := scenario.TwoOperators(seed, phy.Urban(seed), 1, prof.resilNodes)
+	for _, op := range n.Operators {
 		// ADR keeps the downlink command path busy, so the downlink fault
 		// episode has real traffic to fail and delay.
 		op.Server.ADREnabled = true
-		cfg := baseline.StandardConfigs(region.AS923, 1, op.Sync)[0]
-		if _, err := op.AddGateway(radio.Models[2], phy.Pt(float64(i)*150, 0), cfg); err != nil {
-			panic(err)
-		}
-		op.UniformNodes(prof.resilNodes, 2500, 2500, region.AS923.AllChannels(), seed+int64(i))
 	}
-	plan := resilPlan(prof.resilWindow).Scale(intensity)
-	inj, err := faults.Attach(n, plan)
+	inj, inv, err := scenario.WatchFaults(n, resilPlan(prof.resilWindow).Scale(intensity))
 	if err != nil {
 		panic(err)
 	}
-	inv := faults.Watch(n)
-	inv.WatchInjector(inj)
 	// The sweep's shrunken cells leave few buckets around each episode;
 	// a slightly laxer recovery bound keeps the check meaningful without
 	// flagging bucket-boundary noise.

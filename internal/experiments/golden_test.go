@@ -22,7 +22,7 @@ var goldenSlow = map[string]bool{
 // gate a behaviour-preserving refactor has to pass. After an intentional
 // output change, regenerate with
 //
-//	go test -run Golden -update ./internal/experiments/
+//	go test ./internal/experiments/ -run Golden -update
 //
 // and review the diff. A file in testdata/golden that no registered
 // experiment owns fails too, so a deleted experiment takes its golden

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"github.com/alphawan/alphawan/internal/alphawan/evolve"
 	"github.com/alphawan/alphawan/internal/alphawan/planner"
 	"github.com/alphawan/alphawan/internal/baseline"
 	"github.com/alphawan/alphawan/internal/des"
@@ -10,6 +11,7 @@ import (
 	"github.com/alphawan/alphawan/internal/phy"
 	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
+	"github.com/alphawan/alphawan/internal/scenario"
 	"github.com/alphawan/alphawan/internal/sim"
 )
 
@@ -44,13 +46,6 @@ func ringNodes(op *sim.Operator, count int, cx, cy, r float64, channels []region
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // clusterGateways deploys n gateways for the operator in a tight cluster
 // around (cx, cy) with the given configs.
 func clusterGateways(op *sim.Operator, n int, cx, cy float64, cfgs []radio.Config) error {
@@ -76,41 +71,47 @@ func probeNetwork(seed int64, band region.Band, gws, users int) (*sim.Network, *
 	return n, op
 }
 
-// alphaWANPlan runs the full planning loop on a network that already has
-// logs (run LearningPhase first): it returns the plan and applies it.
-func alphaWANPlan(n *sim.Network, op *sim.Operator, channels []region.Channel, nodeSide bool, fixedChannels int, seed int64) (*planner.Result, error) {
-	in := planner.Input{
-		Log:             op.Server.Log(),
+// offlineSolver is the offline planner's GA budget (the test profile
+// shrinks it).
+func offlineSolver(seed int64, elitism int) evolve.Options {
+	s := evolve.DefaultOptions(seed)
+	s.Population, s.Generations, s.Patience, s.Elitism = 96, 300, 60, elitism
+	applySolverProfile(&s.Population, &s.Generations, &s.Patience)
+	return s
+}
+
+// alphaWANPlan runs the full planning loop for a capacity probe (every
+// user concurrent) on a network that already has logs (run LearningPhase
+// first): it returns the plan and applies it.
+func alphaWANPlan(op *sim.Operator, channels []region.Channel, nodeSide bool, fixedChannels int, seed int64) (*planner.Result, error) {
+	return scenario.PlanAndApply(op, planner.Input{
 		Channels:        channels,
-		Gateways:        op.GatewayInfo(),
-		Sync:            op.Sync,
 		TrafficOverride: 1,
 		NodeSide:        nodeSide,
 		// 2 dB headroom over the logged SNRs absorbs the cross-SF
 		// interference a fully loaded probe adds.
-		MarginDB: 2,
+		MarginDB:           2,
+		FixedChannelsPerGW: fixedChannels,
+		Solver:             offlineSolver(seed, 6),
+	})
+}
+
+// alphaWANLoadPlan plans for duty-cycled load — perNode is the expected
+// concurrent packets each physical node contributes at the target
+// emulated scale — with transmit power control, and applies the result.
+func alphaWANLoadPlan(op *sim.Operator, channels []region.Channel, seed int64, perNode float64) error {
+	if perNode <= 0 {
+		perNode = 0.01
 	}
-	in.FixedChannelsPerGW = fixedChannels
-	in.Solver.Population = 96
-	in.Solver.Generations = 300
-	in.Solver.MutationRate = 0.15
-	in.Solver.TournamentK = 3
-	in.Solver.Elitism = 6
-	in.Solver.Seed = seed
-	in.Solver.Parallel = true
-	in.Solver.Patience = 60
-	applySolverProfile(&in.Solver.Population, &in.Solver.Generations, &in.Solver.Patience)
-	res, err := planner.Plan(in)
-	if err != nil {
-		return nil, err
-	}
-	if err := op.ApplyGatewayConfigs(res.GWConfigs); err != nil {
-		return nil, err
-	}
-	if nodeSide {
-		op.ApplyNodePlans(res.NodePlans)
-	}
-	return res, nil
+	_, err := scenario.PlanAndApply(op, planner.Input{
+		Channels:        channels,
+		TrafficOverride: min(perNode, 1),
+		NodeSide:        true,
+		MarginDB:        2,
+		TPC:             true,
+		Solver:          offlineSolver(seed, 4),
+	})
+	return err
 }
 
 // learnAndProbe runs a learning phase and then a capacity probe, returning

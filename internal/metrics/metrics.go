@@ -94,6 +94,62 @@ func (s NetworkStats) ChannelContentionRatio() float64 {
 	return s.LossRatio(ChannelContentionIntra) + s.LossRatio(ChannelContentionInter)
 }
 
+// Tally is a per-network outcome tally, dense by NetworkID (operator ids
+// are small sequential integers everywhere in this codebase). Both
+// engines' results embed it, so the readers below are the one way to
+// read a run's statistics.
+type Tally struct {
+	perNet []NetworkStats
+	seen   []bool
+}
+
+// NewTally wraps statistics accumulated elsewhere: perNet[id] is network
+// id's, counted when seen[id].
+func NewTally(perNet []NetworkStats, seen []bool) Tally {
+	return Tally{perNet: perNet, seen: seen}
+}
+
+// Network returns the statistics for one network (zero value if unseen).
+func (t *Tally) Network(id medium.NetworkID) NetworkStats {
+	if id < 0 || int(id) >= len(t.perNet) || !t.seen[id] {
+		return NetworkStats{}
+	}
+	return t.perNet[id]
+}
+
+// Networks returns the ids of all networks seen, ascending.
+func (t *Tally) Networks() []medium.NetworkID {
+	var ids []medium.NetworkID
+	for id, ok := range t.seen {
+		if ok {
+			ids = append(ids, medium.NetworkID(id))
+		}
+	}
+	return ids
+}
+
+// Total returns statistics aggregated across all networks.
+func (t *Tally) Total() NetworkStats {
+	var tot NetworkStats
+	for id, ok := range t.seen {
+		if !ok {
+			continue
+		}
+		s := &t.perNet[id]
+		tot.Sent += s.Sent
+		tot.Received += s.Received
+		tot.PayloadBytes += s.PayloadBytes
+		tot.GatewayCopies += s.GatewayCopies
+		for i := range s.Losses {
+			tot.Losses[i] += s.Losses[i]
+		}
+		for i := range s.ByDR {
+			tot.ByDR[i] += s.ByDR[i]
+		}
+	}
+	return tot
+}
+
 // txRecord tracks one transmission's per-gateway outcomes until it leaves
 // the air.
 type txRecord struct {
@@ -121,15 +177,12 @@ type Outcome struct {
 // same medium.
 //
 // Its steady-state footprint is O(seen networks + in-flight packets):
-// per-network stats live in a dense slice indexed by NetworkID, and
+// per-network stats live in the embedded Tally's dense slices, and
 // finished txRecords recycle through a freelist instead of churning the
 // allocator — after warm-up a run of any length allocates nothing here
 // on the per-packet path.
 type Collector struct {
-	// perNet/seen are dense, indexed by NetworkID (operator ids are small
-	// sequential integers everywhere in this codebase).
-	perNet  []NetworkStats
-	seen    []bool
+	Tally
 	pending map[int64]*txRecord
 	free    []*txRecord
 
@@ -205,22 +258,26 @@ func causeOf(d medium.Drop) Cause {
 	}
 }
 
-// precedence orders causes: a lower value wins when different gateways
-// dropped the same packet for different reasons.
-func precedence(c Cause) int {
-	switch c {
-	case DecoderContentionInter:
-		return 0
-	case DecoderContentionIntra:
-		return 1
-	case ChannelContentionInter:
-		return 2
-	case ChannelContentionIntra:
-		return 3
-	default:
-		return 4
-	}
+// Precedence orders the loss causes for attribution: when different
+// gateways dropped the same packet for different reasons, the cause
+// earliest here is the packet's.
+var Precedence = [numCauses]Cause{
+	DecoderContentionInter,
+	DecoderContentionIntra,
+	ChannelContentionInter,
+	ChannelContentionIntra,
+	Others,
 }
+
+// rank inverts Precedence: a lower value wins.
+var rank = func() (r [numCauses]int) {
+	for i, c := range Precedence {
+		r[c] = i
+	}
+	return r
+}()
+
+func precedence(c Cause) int { return rank[c] }
 
 func (c *Collector) drop(d medium.Drop) {
 	if d.Reason == radio.DropForeignNetwork {
@@ -261,47 +318,6 @@ func (c *Collector) airDone(t *medium.Transmission) {
 	}
 	s.Losses[r.cause]++
 	c.Outcomes.Publish(Outcome{TX: t, Cause: r.cause})
-}
-
-// Network returns the statistics for one network (zero value if unseen).
-func (c *Collector) Network(id medium.NetworkID) NetworkStats {
-	if id < 0 || int(id) >= len(c.perNet) {
-		return NetworkStats{}
-	}
-	return c.perNet[id]
-}
-
-// Networks returns the ids of all networks seen, ascending.
-func (c *Collector) Networks() []medium.NetworkID {
-	var ids []medium.NetworkID
-	for id, ok := range c.seen {
-		if ok {
-			ids = append(ids, medium.NetworkID(id))
-		}
-	}
-	return ids
-}
-
-// Total returns statistics aggregated across all networks.
-func (c *Collector) Total() NetworkStats {
-	var t NetworkStats
-	for id, ok := range c.seen {
-		if !ok {
-			continue
-		}
-		s := &c.perNet[id]
-		t.Sent += s.Sent
-		t.Received += s.Received
-		t.PayloadBytes += s.PayloadBytes
-		t.GatewayCopies += s.GatewayCopies
-		for i := range s.Losses {
-			t.Losses[i] += s.Losses[i]
-		}
-		for i := range s.ByDR {
-			t.ByDR[i] += s.ByDR[i]
-		}
-	}
-	return t
 }
 
 // Reset clears accumulated statistics, keeping capacity (pending

@@ -37,7 +37,6 @@ package soa
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/lora"
@@ -498,50 +497,7 @@ type RunStats struct {
 	Epochs   int
 	TotalTx  int64
 
-	nets []metrics.NetworkStats
-	seen []bool
-}
-
-// Network returns one network's statistics (zero value if unseen).
-func (s *RunStats) Network(id medium.NetworkID) metrics.NetworkStats {
-	if id < 0 || int(id) >= len(s.nets) || !s.seen[id] {
-		return metrics.NetworkStats{}
-	}
-	return s.nets[id]
-}
-
-// Networks returns the ids of all networks seen, ascending.
-func (s *RunStats) Networks() []medium.NetworkID {
-	var ids []medium.NetworkID
-	for id, ok := range s.seen {
-		if ok {
-			ids = append(ids, medium.NetworkID(id))
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
-// Total returns statistics aggregated across all networks.
-func (s *RunStats) Total() metrics.NetworkStats {
-	var t metrics.NetworkStats
-	for id, ok := range s.seen {
-		if !ok {
-			continue
-		}
-		n := &s.nets[id]
-		t.Sent += n.Sent
-		t.Received += n.Received
-		t.PayloadBytes += n.PayloadBytes
-		t.GatewayCopies += n.GatewayCopies
-		for i := range n.Losses {
-			t.Losses[i] += n.Losses[i]
-		}
-		for i := range n.ByDR {
-			t.ByDR[i] += n.ByDR[i]
-		}
-	}
-	return t
+	metrics.Tally
 }
 
 // Run simulates Poisson traffic from time zero until `until`, drains the
@@ -576,8 +532,7 @@ func (c *Core) Run(until des.Time) *RunStats {
 		Cells:    len(c.cells),
 		Epochs:   c.epochs,
 		TotalTx:  c.gidNext,
-		nets:     c.stats,
-		seen:     c.seen,
+		Tally:    metrics.NewTally(c.stats, c.seen),
 	}
 	return st
 }

@@ -118,7 +118,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 					if got.Cells <= 1 {
 						t.Fatalf("%s: expected a multi-cell grid", tc.name)
 					}
-					if !reflect.DeepEqual(got.nets, serial.nets) || !reflect.DeepEqual(got.seen, serial.seen) ||
+					if !reflect.DeepEqual(got.Tally, serial.Tally) ||
 						got.TotalTx != serial.TotalTx {
 						t.Errorf("%s: sharded run diverged from serial:\nserial total %+v\ngot    total %+v",
 							tc.name, serial.Total(), got.Total())

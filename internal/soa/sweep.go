@@ -74,19 +74,13 @@ func codeChannel(inter bool) uint8 {
 // precNone marks a pending transmission with no drop contribution yet.
 const precNone = 0xFF
 
+// causeForPrec maps a pending record's precedence back to its cause;
+// precNone (nobody dropped it: out of everyone's range) counts as Others.
 func causeForPrec(p uint8) metrics.Cause {
-	switch p {
-	case 0:
-		return metrics.DecoderContentionInter
-	case 1:
-		return metrics.DecoderContentionIntra
-	case 2:
-		return metrics.ChannelContentionInter
-	case 3:
-		return metrics.ChannelContentionIntra
-	default:
-		return metrics.Others
+	if int(p) < len(metrics.Precedence) {
+		return metrics.Precedence[p]
 	}
+	return metrics.Others
 }
 
 // pendRec tracks one transmission network-wide until it finalizes.
@@ -425,9 +419,12 @@ func (cs *cellState) emit(gid int64, code uint8) {
 
 // scanNeighbors visits the cell's active transmissions within ±1
 // frequency bin of binIdx whose start lies in [winStart-maxAir, until),
-// in (bin, start, gid) order — the same candidate walk medium.neighbors
-// performs, with the same binary-search airtime cutoff. fn also receives
-// the transmission's store index and returns false to stop the whole scan.
+// in (bin, start, gid) order — the order medium.neighbors yields, but
+// not its walk: medium enters per-(bin, DR) lanes at their live suffix
+// and gates bins on covered spectrum, while this is one binary search per
+// bin on the longest airtime (lanes measured slower here, ROADMAP item 5).
+// fn also receives the transmission's store index and returns false to
+// stop the whole scan.
 func (c *Core) scanNeighbors(cs *cellState, binIdx int32, winStart, until des.Time, fn func(ui int32, u *txRec) bool) {
 	lo := winStart - c.maxAir
 	for db := int32(-1); db <= 1; db++ {
