@@ -4,6 +4,7 @@ import (
 	"github.com/alphawan/alphawan/internal/alphawan/cp"
 	"github.com/alphawan/alphawan/internal/alphawan/evolve"
 	"github.com/alphawan/alphawan/internal/alphawan/logparse"
+	"github.com/alphawan/alphawan/internal/alphawan/master"
 	"github.com/alphawan/alphawan/internal/alphawan/trafficest"
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/lora"
@@ -51,7 +52,7 @@ func runAblPreFilter(seed int64) *Result {
 		"radio", "net1 received", "net2 received", "total",
 	)}
 	// Measured: the real pipeline (Figure 2b machinery, 24+24 users).
-	got := coexNetwork(seed, 2, 0)
+	got := coexNetwork(seed, 2, misaligned(0))
 	res.Table.AddRow("COTS (decode-then-filter)", got[0], got[1], got[0]+got[1])
 	// Counterfactual: per-network pools of 16 decoders with only own
 	// packets contending — each network receives min(24, 16) plus capture
@@ -127,34 +128,10 @@ func runAblOverlap(seed int64) *Result {
 	// The Master's capacity to isolate networks follows directly from the
 	// front-end's selectivity; sweep the threshold.
 	for _, th := range []float64{0.95, 0.85, 0.75, 0.65, 0.55} {
-		n := maxIsolatedAt(th)
-		res.Table.AddRow(th, n)
+		res.Table.AddRow(th, master.MaxIsolatedNetworks(master.FromBand(region.AS923), th))
 	}
 	res.Note("at the calibrated 0.75 threshold the band hosts 6 isolated networks (the paper's 'up to six'); a sharper front-end (0.55) would host only 3")
 	return res
-}
-
-func maxIsolatedAt(th float64) int {
-	spec := masterSpec()
-	for n := 16; n >= 2; n-- {
-		shiftHz := spec.SpacingHz / int64(n)
-		a := region.Channel{Center: region.Hz(spec.StartHz), Bandwidth: lora.BW125}
-		b := region.Channel{Center: region.Hz(spec.StartHz + shiftHz), Bandwidth: lora.BW125}
-		if a.Overlap(b) < th {
-			return n
-		}
-	}
-	return 1
-}
-
-func masterSpec() struct {
-	StartHz   int64
-	SpacingHz int64
-} {
-	return struct {
-		StartHz   int64
-		SpacingHz int64
-	}{int64(region.AS923.Start), int64(region.AS923.Spacing)}
 }
 
 func runAblTrafficWindows(seed int64) *Result {

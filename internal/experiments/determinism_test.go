@@ -46,16 +46,6 @@ func renderResult(r *Result) string {
 	return b.String()
 }
 
-// TestParallelMatchesSerial is the determinism regression for the cell
-// runner: the registered multi-cell experiments must emit byte-identical
-// tables and notes whether cells run on one worker or many, at the same
-// seed. It covers fig04a (user-scale sweep), fig13 (strategy × scale
-// grid), fig12c (the city144 contention workload), fig17 (whose
-// wall-clock latencies now live in the sidecar, so its table and notes
-// are held to the same standard as everyone else's), and the two sharded
-// city-scale experiments (whose cell sweeps parallelize inside the SoA
-// core) on the shrunken profile so the whole comparison stays tier-1
-// fast.
 // TestTraceDeterminism is the event-order regression for the bus: with
 // the same seed and the same subscriber set (the full sink stack on the
 // built-in trace scenario), two runs must produce byte-identical JSONL
@@ -83,10 +73,22 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSerial is the determinism regression for the cell
+// runner: the registered multi-cell experiments must emit byte-identical
+// tables and notes whether cells run on one worker or many, at the same
+// seed. It covers fig04a (user-scale sweep), fig13 (strategy × scale
+// grid), fig12c (the §5.1 testbed contention workload), fig17 (whose
+// wall-clock latencies now live in the sidecar, so its table and notes
+// are held to the same standard as everyone else's), fig-mac, the two
+// sharded city-scale experiments (whose cell sweeps parallelize inside
+// the SoA core) on the shrunken profile so the whole comparison stays
+// tier-1 fast, and four sub-second sweeps at full scale: the
+// co-located-network probes of fig12de, fig14 and fig15 and the GA
+// seeding ablation.
 func TestParallelMatchesSerial(t *testing.T) {
 	withProfile(t, smallProfile())
 	const seed = 7
-	for _, id := range []string{"fig04a", "fig13", "fig12c", "fig17", "city-smoke", "city-1M", "fig-mac"} {
+	for _, id := range []string{"fig04a", "fig13", "fig12c", "fig17", "city-smoke", "city-1M", "fig-mac", "fig12de", "fig14", "fig15", "abl-seeding"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e, ok := Get(id)

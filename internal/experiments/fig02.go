@@ -33,24 +33,15 @@ func runFig02a(seed int64) *Result {
 		"#concurrent TX", "oracle", "GW x 1", "GW x 3",
 	)}
 	capAt := func(gws, users int) int {
-		n, op := probeNetwork(seed, region.AS923, gws, users)
-		got := n.CapacityProbe(5 * des.Second)
-		return got[op.ID]
+		return clusterProbe(seed, cotsModel, baseline.StandardConfigs(region.AS923, gws, 0), users, region.AS923.AllChannels())
 	}
 	maxSeen1, maxSeen3 := 0, 0
 	for _, users := range []int{1, 8, 16, 24, 32, 40, 48, 56, 64} {
-		oracle := users
-		if oracle > region.AS923.TheoreticalCapacity() {
-			oracle = region.AS923.TheoreticalCapacity()
-		}
+		oracle := min(users, region.AS923.TheoreticalCapacity())
 		c1 := capAt(1, users)
 		c3 := capAt(3, users)
-		if c1 > maxSeen1 {
-			maxSeen1 = c1
-		}
-		if c3 > maxSeen3 {
-			maxSeen3 = c3
-		}
+		maxSeen1 = max(maxSeen1, c1)
+		maxSeen3 = max(maxSeen3, c3)
 		res.Table.AddRow(users, oracle, c1, c3)
 	}
 	res.Note("single-gateway capacity saturates at %d (paper: 16)", maxSeen1)
@@ -68,20 +59,12 @@ func runFig02b(seed int64) *Result {
 	for si, s := range settings {
 		n := sim.New(seed+int64(si), flatEnv(seed))
 		counts := []int{s.n1, s.n2}
-		for k := 0; k < 2; k++ {
-			op := n.AddOperator()
-			cfgs := baseline.StandardConfigs(region.AS923, 1, op.Sync)
-			if err := clusterGateways(op, 1, float64(k)*8, 0, cfgs); err != nil {
-				panic(err)
-			}
+		for k, op := range soloGateways(n, 2) {
 			// The two networks split the 48 distinct (channel, DR) pairs
 			// so no packets collide — the paper's controlled settings use
 			// "different sub-channels and data rates". DR cycling keeps
 			// the lock-on order interleaved between the networks.
-			start := 0
-			if k == 1 {
-				start = counts[0]
-			}
+			start := k * counts[0]
 			for i := 0; i < counts[k]; i++ {
 				pair := start + i
 				ch := (pair / lora.NumDRs) % 8

@@ -3,10 +3,10 @@ package experiments
 import (
 	"math"
 
-	"github.com/alphawan/alphawan/internal/baseline"
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/lora"
 	"github.com/alphawan/alphawan/internal/medium"
+	"github.com/alphawan/alphawan/internal/node"
 	"github.com/alphawan/alphawan/internal/phy"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/sim"
@@ -40,11 +40,7 @@ func init() {
 // on an equal-SNR ring.
 func twentyNodes(seed int64) (*sim.Network, *sim.Operator) {
 	n := sim.New(seed, flatEnv(seed))
-	op := n.AddOperator()
-	cfgs := baseline.StandardConfigs(region.AS923, 1, op.Sync)
-	if err := clusterGateways(op, 1, 0, 0, cfgs); err != nil {
-		panic(err)
-	}
+	op := soloGateways(n, 1)[0]
 	for i := 0; i < 20; i++ {
 		ch := region.AS923.Channel(i % 8)
 		dr := lora.DR(5 - i%3) // DR5/DR4/DR3 mix: distinct (ch, DR) pairs
@@ -181,46 +177,28 @@ func runFig03ef(seed int64) *Result {
 		"node slot", "network 1 received", "network 2 received",
 	)}
 	n := sim.New(seed, flatEnv(seed))
-	var ops []*sim.Operator
-	for k := 0; k < 2; k++ {
-		op := n.AddOperator()
-		cfgs := baseline.StandardConfigs(region.AS923, 1, op.Sync)
-		if err := clusterGateways(op, 1, float64(k)*8, 0, cfgs); err != nil {
-			panic(err)
-		}
-		ops = append(ops, op)
-	}
+	ops := soloGateways(n, 2)
 	// 20 interleaved slots: even slots network 1, odd network 2; distinct
 	// (ch, DR) pairs across both networks.
-	type slot struct {
-		op  *sim.Operator
-		idx int
-	}
-	var slots []slot
+	var slots []*node.Node
 	for i := 0; i < 20; i++ {
-		op := ops[i%2]
 		ch := region.AS923.Channel(i % 8)
 		dr := lora.DR(5 - (i/8)%3)
 		ang := 2 * math.Pi * float64(i) / 20
-		op.AddNode(phy.Pt(150*math.Cos(ang), 150*math.Sin(ang)), []region.Channel{ch}, dr)
-		slots = append(slots, slot{op, len(op.Nodes) - 1})
+		slots = append(slots, ops[i%2].AddNode(phy.Pt(150*math.Cos(ang), 150*math.Sin(ang)), []region.Channel{ch}, dr))
 	}
 	received := map[medium.NetworkID]map[medium.NodeID]bool{1: {}, 2: {}}
 	n.Med.Deliveries.Subscribe(func(d medium.Delivery) {
 		received[d.TX.Network][d.TX.Node] = true
 	})
 	// One combined burst in slot order (final-preamble order, Scheme b).
-	var all []*nodeRef
-	for _, s := range slots {
-		all = append(all, &nodeRef{s.op, s.idx})
-	}
-	scheduleInterleavedBurst(n, all, 5*des.Second, des.Millisecond)
+	traffic.ScheduleBurst(n.Med, slots, 5*des.Second, traffic.AlignLockOns, des.Millisecond)
 	n.Sim.Run()
 
 	recv := map[int]int{}
 	foreignBurn := 0
-	for i, s := range slots {
-		ok := received[s.op.ID][medium.NodeID(s.idx)]
+	for i, nd := range slots {
+		ok := received[nd.Network][nd.ID]
 		if ok {
 			recv[i%2]++
 		}
@@ -243,30 +221,4 @@ func runFig03ef(seed int64) *Result {
 		res.Note("WARNING: aggregate != 16")
 	}
 	return res
-}
-
-// nodeRef addresses one node of one operator for interleaved bursts.
-type nodeRef struct {
-	op  *sim.Operator
-	idx int
-}
-
-// scheduleInterleavedBurst schedules nodes from multiple operators in one
-// lock-on-ordered burst (micro slots in list order).
-func scheduleInterleavedBurst(n *sim.Network, nodes []*nodeRef, at, slot des.Time) {
-	for i, ref := range nodes {
-		nd := ref.op.Nodes[ref.idx]
-		params := lora.DefaultParams(nd.DR)
-		pre := des.FromDuration(params.PreambleDuration())
-		start := at + des.Time(i)*slot - pre
-		if start < 0 {
-			start = 0
-		}
-		n.Sim.At(start, func() {
-			saved := nd.DutyCycle
-			nd.DutyCycle = 0
-			nd.Send(n.Med)
-			nd.DutyCycle = saved
-		})
-	}
 }

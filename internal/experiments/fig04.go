@@ -1,16 +1,11 @@
 package experiments
 
 import (
-	"github.com/alphawan/alphawan/internal/baseline"
-	"github.com/alphawan/alphawan/internal/des"
-	"github.com/alphawan/alphawan/internal/lora"
 	"github.com/alphawan/alphawan/internal/metrics"
-	"github.com/alphawan/alphawan/internal/phy"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/runner"
 	"github.com/alphawan/alphawan/internal/sim"
 	"github.com/alphawan/alphawan/internal/tabulate"
-	"github.com/alphawan/alphawan/internal/traffic"
 )
 
 func init() {
@@ -26,74 +21,6 @@ func init() {
 		Paper: "Inter-network decoder contention becomes the leading loss cause with ≥3 coexisting networks.",
 		Run:   runFig04b,
 	})
-}
-
-// cityEnv is the propagation profile of the city experiments: mild urban
-// attenuation (the paper's gateways hear across most of the testbed — a
-// user connects to ≈7 gateways without ADR) with heavy shadowing for link
-// diversity.
-func cityEnv(seed int64) phy.Environment {
-	e := phy.Urban(seed)
-	e.Exponent = 3.0
-	e.ShadowSigma = 6
-	return e
-}
-
-// cityOperator deploys a city-scale operator: gws gateways on a grid over
-// the 2.1 km × 1.6 km testbed area with standard homogeneous plans, and
-// phys physical nodes that jointly emulate `users` duty-cycled users.
-func cityOperator(n *sim.Network, band region.Band, gws, phys int, seed int64) *sim.Operator {
-	op := n.AddOperator()
-	cfgs := baseline.StandardConfigs(band, gws, op.Sync)
-	cols := 5
-	for i := 0; i < gws; i++ {
-		x := 200 + float64(i%cols)*(1700/float64(cols-1))
-		y := 200 + float64(i/cols)*(1200/float64(max(1, (gws-1)/cols)))
-		if _, err := op.AddGateway(cotsModel, phy.Pt(x, y), cfgs[i]); err != nil {
-			panic(err)
-		}
-	}
-	// Real deployments mix provisioning styles: roughly half the devices
-	// are ADR-managed (10 dB installation margin → fast rates near their
-	// gateway), the rest ship with conservative static settings (DR0–DR2,
-	// the LoRaWAN factory defaults) whose long-range SFs are heard — and
-	// burn decoders — at every in-range gateway. Each node hops within the
-	// standard channel plan of its serving gateway.
-	op.UniformNodesMargin(phys, 2100, 1600, band.AllChannels(), seed, 10)
-	for i, nd := range op.Nodes {
-		if i%3 != 0 {
-			nd.DR = lora.DR(i % 3) // static DR0/DR1/DR2
-		}
-	}
-	op.AssignNodesToGatewayPlans()
-	return op
-}
-
-// emulateUsers starts duty-cycled Poisson traffic on the operator's
-// physical nodes standing in for `users` users from start to stop, as the
-// paper's §5.2.1 emulation does (one node stands in for up to ten users).
-func emulateUsers(n *sim.Network, op *sim.Operator, users int, duty float64, start, stop des.Time) {
-	factor := float64(users) / float64(len(op.Nodes))
-	for _, nd := range op.Nodes {
-		// Each emulated user fills its regulatory duty budget, so a node
-		// standing in for k users transmits k× as often — the paper's
-		// §5.2.1 elevated-duty emulation.
-		mean := des.Time(float64(traffic.MeanIntervalForDutyCycle(nd, duty)) / factor)
-		// The node carries many users' slots: no regulatory silence,
-		// but its emulated users occupy distinct time slots (§5.2.1),
-		// i.e. the node never overlaps itself.
-		nd.DutyCycle = 1
-		traffic.StartPoisson(n.Med, nd, start, stop, mean)
-	}
-}
-
-// cityLoad runs the window with every operator emulating usersPerOp users.
-func cityLoad(n *sim.Network, ops []*sim.Operator, usersPerOp int, duty float64, window des.Time) {
-	start := n.Sim.Now()
-	for _, op := range ops {
-		emulateUsers(n, op, usersPerOp, duty, start, start+window)
-	}
-	n.Sim.RunUntil(start + window + des.Minute)
 }
 
 // lossRow extracts the Figure 4 breakdown from network stats.

@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/alphawan/alphawan/internal/des"
-	"github.com/alphawan/alphawan/internal/lora"
-	"github.com/alphawan/alphawan/internal/phy"
 	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
-	"github.com/alphawan/alphawan/internal/sim"
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
@@ -29,28 +25,12 @@ func init() {
 
 // blockConfig builds a config covering `count` consecutive channels
 // starting at `start` (mod 8) of the AS923 band.
-func blockConfig(start, count int, sync lora.SyncWord) radio.Config {
-	cfg := radio.Config{Sync: sync}
+func blockConfig(start, count int) radio.Config {
+	var cfg radio.Config
 	for k := 0; k < count; k++ {
 		cfg.Channels = append(cfg.Channels, region.AS923.Channel((start+k)%8))
 	}
 	return cfg
-}
-
-// capacityWithConfigs builds 48 ring users and gateways with the given
-// configs, probing concurrent capacity.
-func capacityWithConfigs(seed int64, cfgs []radio.Config) int {
-	n := sim.New(seed, flatEnv(seed))
-	op := n.AddOperator()
-	for i, cfg := range cfgs {
-		cfg.Sync = op.Sync
-		if _, err := op.AddGateway(cotsModel, phy.Pt(float64(i)*5, 0), cfg); err != nil {
-			panic(err)
-		}
-	}
-	ringNodes(op, 48, float64(len(cfgs)-1)*2.5, 0, 150, region.AS923.AllChannels())
-	got := n.CapacityProbe(5 * des.Second)
-	return got[op.ID]
 }
 
 func runFig05a(seed int64) *Result {
@@ -62,9 +42,9 @@ func runFig05a(seed int64) *Result {
 	for _, chPerGW := range []int{8, 4, 2} {
 		cfgs := make([]radio.Config, 5)
 		for i := range cfgs {
-			cfgs[i] = blockConfig(i*chPerGW, chPerGW, 0)
+			cfgs[i] = blockConfig(i*chPerGW, chPerGW)
 		}
-		caps[chPerGW] = capacityWithConfigs(seed, cfgs)
+		caps[chPerGW] = clusterProbe(seed, cotsModel, cfgs, 48, region.AS923.AllChannels())
 		res.Table.AddRow(chPerGW, caps[chPerGW])
 	}
 	res.Note("capacity %d → %d → %d as channels per gateway fall 8 → 4 → 2 (paper: 16 → 48)",
@@ -94,10 +74,10 @@ func runFig05b(seed int64) *Result {
 		cfgs := make([]radio.Config, 3)
 		desc := make([]string, 3)
 		for i, b := range s.blocks {
-			cfgs[i] = blockConfig(b[0], b[1], 0)
+			cfgs[i] = blockConfig(b[0], b[1])
 			desc[i] = chanDesc(b[0], b[1])
 		}
-		c := capacityWithConfigs(seed, cfgs)
+		c := clusterProbe(seed, cotsModel, cfgs, 48, region.AS923.AllChannels())
 		caps = append(caps, c)
 		res.Table.AddRow(s.name, desc[0], desc[1], desc[2], c)
 	}

@@ -7,7 +7,6 @@ import (
 	"github.com/alphawan/alphawan/internal/lora"
 	"github.com/alphawan/alphawan/internal/medium"
 	"github.com/alphawan/alphawan/internal/phy"
-	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
@@ -29,17 +28,8 @@ func runFig07(seed int64) *Result {
 	env := flatEnv(seed)
 	sim := des.New(seed)
 	med := medium.New(sim, env)
-	r, err := radio.New(sim, radio.SX1302, radio.Config{
-		Channels: region.AS923.AllChannels(), Sync: lora.SyncPublic,
-	})
-	if err != nil {
-		panic(err)
-	}
 	ant := phy.Directional12dBi(0) // steered along +x
-	port := med.Attach(r, phy.Pt(0, 0), ant)
-	med.WirePort(port)
-	received := map[medium.NodeID]bool{}
-	med.Deliveries.Subscribe(func(d medium.Delivery) { received[d.TX.Node] = true })
+	received := oneRadio(sim, med, region.AS923.AllChannels(), ant)
 
 	bearings := []float64{0, 30, 60, 90, 120, 150, 180}
 	for i, deg := range bearings {

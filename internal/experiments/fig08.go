@@ -7,7 +7,6 @@ import (
 	"github.com/alphawan/alphawan/internal/lora"
 	"github.com/alphawan/alphawan/internal/medium"
 	"github.com/alphawan/alphawan/internal/phy"
-	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
@@ -29,20 +28,7 @@ func fig08Trial(seed int64, trial int, overlap float64, orth bool, strongIntf bo
 	sim := des.New(seed + int64(trial))
 	med := medium.New(sim, env)
 	masterCh := region.AS923.Channel(0)
-	r, err := radio.New(sim, radio.SX1302, radio.Config{
-		Channels: []region.Channel{masterCh}, Sync: lora.SyncPublic,
-	})
-	if err != nil {
-		panic(err)
-	}
-	port := med.Attach(r, phy.Pt(0, 0), phy.Omni(3))
-	med.WirePort(port)
-	ok := false
-	med.Deliveries.Subscribe(func(d medium.Delivery) {
-		if d.TX.Node == 1 {
-			ok = true
-		}
-	})
+	received := oneRadio(sim, med, []region.Channel{masterCh}, phy.Omni(3))
 
 	// Interferer channel shifted for the target overlap ratio.
 	shift := region.Hz((1 - overlap) * float64(lora.BW125))
@@ -74,7 +60,7 @@ func fig08Trial(seed int64, trial int, overlap float64, orth bool, strongIntf bo
 		})
 	})
 	sim.Run()
-	return ok
+	return received[1]
 }
 
 func fig08PRR(seed int64, overlap float64, orth, strong bool) float64 {

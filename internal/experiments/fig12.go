@@ -2,17 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/alphawan/alphawan/internal/alphawan/master"
-	"github.com/alphawan/alphawan/internal/baseline"
-	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/lora"
-	"github.com/alphawan/alphawan/internal/phy"
-	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/runner"
-	"github.com/alphawan/alphawan/internal/sim"
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
@@ -43,37 +37,10 @@ func init() {
 	})
 }
 
-// planProbe builds a network with g gateways and 144 ring users on the
-// testbed band, learns, plans with AlphaWAN (optionally with Strategy ①
-// disabled via fixedChannels=8), applies, and probes capacity.
-func planProbe(seed int64, gws int, nodeSide bool, fixedChannels int) int {
-	n, op := buildCity(seed, region.Testbed, gws)
-	n.LearningSweep(0, des.Second, region.Testbed.AllChannels(), 3)
-	if _, err := alphaWANPlan(op, region.Testbed.AllChannels(), nodeSide, fixedChannels, seed); err != nil {
-		panic(err)
-	}
-	got := n.CapacityProbe(n.Sim.Now() + 10*des.Second)
-	return got[op.ID]
-}
-
-// standardProbe measures the standard-LoRaWAN capacity with g gateways.
-func standardProbe(seed int64, gws int) int {
-	n, op := buildCity(seed, region.Testbed, gws)
-	got := n.CapacityProbe(5 * des.Second)
-	return got[op.ID]
-}
-
-// randomCPProbe measures the Random CP baseline: the testbed deployment,
-// but with Random CP gateway configurations installed.
-func randomCPProbe(seed int64, gws int) int {
-	n, op := buildCity(seed, region.Testbed, gws)
-	cfgs := baseline.RandomCPConfigs(region.Testbed, gws, cotsModel.Chipset, op.Sync, seed)
-	if err := op.ApplyGatewayConfigs(cfgs); err != nil {
-		panic(err)
-	}
-	got := n.CapacityProbe(5 * des.Second)
-	return got[op.ID]
-}
+// fig12Arms are the strategy columns of Figures 12a and 12b: standard
+// LoRaWAN, Random CP, AlphaWAN without Strategy ① (8 fixed channels per
+// gateway) and full AlphaWAN.
+var fig12Arms = []cityArm{{}, {randomCP: true}, {plan: true, nodeSide: true, fixedChannels: 8}, {plan: true, nodeSide: true}}
 
 func runFig12a(seed int64) *Result {
 	res := &Result{Table: tabulate.New(
@@ -81,29 +48,21 @@ func runFig12a(seed int64) *Result {
 		"#gateways", "oracle", "LoRaWAN (standard)", "Random CP", "AlphaWAN (no S1)", "AlphaWAN (full)",
 	)}
 	gws := []int{1, 3, 5, 7, 9, 11, 13, 15}
-	type cellOut struct{ std, rnd, noS1, full int }
-	cells := runner.Map(len(gws), func(i int) cellOut {
-		g := gws[i]
-		return cellOut{
-			std:  standardProbe(seed, g),
-			rnd:  randomCPProbe(seed, g),
-			noS1: planProbe(seed, g, true, 8),
-			full: planProbe(seed, g, true, 0),
-		}
+	na := len(fig12Arms)
+	caps := runner.Map(len(gws)*na, func(i int) int {
+		return cityProbe(seed, region.Testbed, gws[i/na], fig12Arms[i%na])
 	})
 	var fullAt9, fullAt15, stdMax int
 	for i, g := range gws {
-		c := cells[i]
-		if c.std > stdMax {
-			stdMax = c.std
-		}
+		std, rnd, noS1, full := caps[i*na], caps[i*na+1], caps[i*na+2], caps[i*na+3]
+		stdMax = max(stdMax, std)
 		if g == 9 {
-			fullAt9 = c.full
+			fullAt9 = full
 		}
 		if g == 15 {
-			fullAt15 = c.full
+			fullAt15 = full
 		}
-		res.Table.AddRow(g, 144, c.std, c.rnd, c.noS1, c.full)
+		res.Table.AddRow(g, 144, std, rnd, noS1, full)
 	}
 	res.Note("standard LoRaWAN caps at %d users regardless of gateways (paper: 48)", stdMax)
 	res.Note("full AlphaWAN reaches %d/144 at 9 gateways and %d/144 at 15 (paper: oracle at 9; our residual gap is imperfect-SF-orthogonality interference)", fullAt9, fullAt15)
@@ -127,47 +86,24 @@ func runFig12b(seed int64) *Result {
 		"spectrum (MHz)", "oracle", "LoRaWAN", "Random CP", "AlphaWAN (no S1)", "AlphaWAN (full)", "LoRaWAN /MHz", "AlphaWAN /MHz",
 	)}
 	sweep := []int{8, 16, 24, 32}
-	type cellOut struct{ std, rnd, noS1, full int }
-	cells := runner.Map(len(sweep), func(i int) cellOut {
-		band := spectrumBand(sweep[i])
-		probe := func(randomCP, plan bool, fixed int) int {
-			n, op := buildCity(seed, band, 15)
-			if randomCP {
-				cfgs := baseline.RandomCPConfigs(band, 15, cotsModel.Chipset, op.Sync, seed)
-				if err := op.ApplyGatewayConfigs(cfgs); err != nil {
-					panic(err)
-				}
-			}
-			if plan {
-				n.LearningSweep(0, des.Second, band.AllChannels(), 3)
-				if _, err := alphaWANPlan(op, band.AllChannels(), true, fixed, seed); err != nil {
-					panic(err)
-				}
-			}
-			got := n.CapacityProbe(n.Sim.Now() + 10*des.Second)
-			return got[op.ID]
-		}
-		return cellOut{
-			std:  probe(false, false, 0),
-			rnd:  probe(true, false, 0),
-			noS1: probe(false, true, 8),
-			full: probe(false, true, 0),
-		}
+	na := len(fig12Arms)
+	caps := runner.Map(len(sweep)*na, func(i int) int {
+		return cityProbe(seed, spectrumBand(sweep[i/na]), 15, fig12Arms[i%na])
 	})
 	var firstRatio, lastRatio float64
 	for i, chs := range sweep {
-		c := cells[i]
+		std, rnd, noS1, full := caps[i*na], caps[i*na+1], caps[i*na+2], caps[i*na+3]
 		mhz := float64(chs) * 0.2
 		users := spectrumBand(chs).TheoreticalCapacity()
-		stdMHz := float64(c.std) / mhz
-		fullMHz := float64(c.full) / mhz
+		stdMHz := float64(std) / mhz
+		fullMHz := float64(full) / mhz
 		if chs == 8 {
 			firstRatio = fullMHz / stdMHz
 		}
 		if chs == 32 {
 			lastRatio = fullMHz / stdMHz
 		}
-		res.Table.AddRow(mhz, users, c.std, c.rnd, c.noS1, c.full, stdMHz, fullMHz)
+		res.Table.AddRow(mhz, users, std, rnd, noS1, full, stdMHz, fullMHz)
 	}
 	res.Note("full AlphaWAN per-MHz efficiency is %.1fx–%.1fx standard LoRaWAN's (paper: ≈3.9x / +292.2%%)", min(firstRatio, lastRatio), max(firstRatio, lastRatio))
 	return res
@@ -184,40 +120,22 @@ func runFig12c(seed int64) *Result {
 	// across independent shadowing seeds. Every (variant, seed) pair is
 	// one independent capacity probe — fan them across the pool.
 	variants := []struct {
-		name     string
-		plan     bool
-		nodeSide bool
+		name string
+		arm  cityArm
 	}{
-		{"LoRaWAN (standard)", false, false},
-		{"AlphaWAN (w/o node side)", true, false},
-		{"AlphaWAN (full)", true, true},
+		{"LoRaWAN (standard)", cityArm{}},
+		{"AlphaWAN (w/o node side)", cityArm{plan: true}},
+		{"AlphaWAN (full)", cityArm{plan: true, nodeSide: true}},
 	}
 	caps := runner.Map(len(variants)*seeds, func(i int) int {
-		v := variants[i/seeds]
-		s := seed + int64(i%seeds)
-		n, op := buildCity(s, band, gws)
-		if v.plan {
-			n.LearningSweep(0, des.Second, band.AllChannels(), 3)
-			if _, err := alphaWANPlan(op, band.AllChannels(), v.nodeSide, 0, s); err != nil {
-				panic(err)
-			}
-		}
-		got := n.CapacityProbe(n.Sim.Now() + 10*des.Second)
-		return got[op.ID]
+		return cityProbe(seed+int64(i%seeds), band, gws, variants[i/seeds].arm)
 	})
 	var means []float64
 	for vi, v := range variants {
-		var sum, lo, hi int
-		lo = 1 << 30
-		for s := 0; s < seeds; s++ {
-			c := caps[vi*seeds+s]
+		sum, lo, hi := 0, 1<<30, 0
+		for _, c := range caps[vi*seeds : (vi+1)*seeds] {
 			sum += c
-			if c < lo {
-				lo = c
-			}
-			if c > hi {
-				hi = c
-			}
+			lo, hi = min(lo, c), max(hi, c)
 		}
 		mean := float64(sum) / float64(seeds)
 		means = append(means, mean)
@@ -230,56 +148,17 @@ func runFig12c(seed int64) *Result {
 	return res
 }
 
-// coexNetwork builds k networks sharing the 1.6 MHz spectrum; alphaWAN
-// selects Master-assigned misaligned plans with the given overlap setting
-// (0 = standard homogeneous plans). Returns per-network capacities.
-func coexNetwork(seed int64, nets int, overlap float64) map[int]int {
-	// Shadowed links: power disparity lets capture resolve some of the
-	// cross-network collisions, as in the real testbed.
-	n := sim.New(seed, testbedEnv(seed))
-	spec := master.FromBand(region.AS923)
-	for k := 0; k < nets; k++ {
-		op := n.AddOperator()
-		var chans []region.Channel
-		if overlap > 0 {
-			shiftUnit := region.Hz((1 - overlap) * float64(lora.BW125))
-			chans = master.PlanChannelsWithShift(spec, region.Hz(int64(k)*int64(shiftUnit))%200_000)
-		} else {
-			chans = region.AS923.AllChannels()
+// misaligned plans network k on a Master-assigned shift for the given
+// overlap, split across its gateways; overlap 0 is the standard
+// homogeneous plan on every gateway.
+func misaligned(overlap float64) func(k int) ([]region.Channel, bool) {
+	return func(k int) ([]region.Channel, bool) {
+		if overlap <= 0 {
+			return region.AS923.AllChannels(), false
 		}
-		// Intra-network heterogeneous split of the (possibly shifted)
-		// plan across the 3 gateways: 3/3/2 channels.
-		blocks := [][2]int{{0, 3}, {3, 3}, {6, 2}}
-		for g := 0; g < 3; g++ {
-			cfg := radio.Config{Sync: op.Sync}
-			if overlap > 0 {
-				b := blocks[g]
-				cfg.Channels = append(cfg.Channels, chans[b[0]:b[0]+b[1]]...)
-			} else {
-				cfg.Channels = chans // standard: homogeneous full plan
-			}
-			if _, err := op.AddGateway(cotsModel, phy.Pt(float64(k)*10+float64(g)*3, float64(k)), cfg); err != nil {
-				panic(err)
-			}
-		}
-		// 24 users with distinct (channel, DR) settings on the network's
-		// plan; each network's DR set is offset so that (at least for
-		// small network counts) settings stay distinct across networks.
-		for i := 0; i < 24; i++ {
-			ch := chans[i%8]
-			dr := lora.DR((i/8*2 + k) % 6)
-			ang := float64(i+24*k) / float64(24*nets)
-			radius := 100 + float64((i*37+k*11)%250)
-			pos := phy.Pt(radius*cosTau(ang), radius*sinTau(ang))
-			op.AddNode(pos, []region.Channel{ch}, dr)
-		}
+		shiftUnit := region.Hz((1 - overlap) * float64(lora.BW125))
+		return master.PlanChannelsWithShift(master.FromBand(region.AS923), region.Hz(int64(k)*int64(shiftUnit))%200_000), true
 	}
-	got := n.CapacityProbe(5 * des.Second)
-	out := map[int]int{}
-	for k := 0; k < nets; k++ {
-		out[k] = got[n.Operators[k].ID]
-	}
-	return out
 }
 
 func runFig12de(seed int64) *Result {
@@ -288,17 +167,14 @@ func runFig12de(seed int64) *Result {
 		"#networks", "std per-net", "AW20% per-net", "AW40% per-net", "AW60% per-net", "std /MHz", "AW40% /MHz",
 	)}
 	overlaps := []float64{0, 0.2, 0.4, 0.6}
-	mean := func(m map[int]int) float64 {
-		t := 0
-		for _, v := range m {
-			t += v
-		}
-		return float64(t) / float64(len(m))
-	}
 	// One cell per (network count, overlap) pair: 24 independent probes.
 	cells := runner.Map(6*len(overlaps), func(i int) float64 {
-		nets := i/len(overlaps) + 1
-		return mean(coexNetwork(seed, nets, overlaps[i%len(overlaps)]))
+		caps := coexNetwork(seed, i/len(overlaps)+1, misaligned(overlaps[i%len(overlaps)]))
+		t := 0
+		for _, c := range caps {
+			t += c
+		}
+		return float64(t) / float64(len(caps))
 	})
 	var gainAt1, gainAt6 float64
 	for nets := 1; nets <= 6; nets++ {
@@ -318,6 +194,3 @@ func runFig12de(seed int64) *Result {
 		(gainAt1-1)*100, (gainAt6-1)*100)
 	return res
 }
-
-func cosTau(x float64) float64 { return math.Cos(2 * math.Pi * x) }
-func sinTau(x float64) float64 { return math.Sin(2 * math.Pi * x) }

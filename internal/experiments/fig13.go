@@ -12,7 +12,6 @@ import (
 	"github.com/alphawan/alphawan/internal/scenario"
 	"github.com/alphawan/alphawan/internal/sim"
 	"github.com/alphawan/alphawan/internal/tabulate"
-	"github.com/alphawan/alphawan/internal/traffic"
 )
 
 func init() {
@@ -69,10 +68,7 @@ func fig13Run(seed int64, strat fig13Strategy, kind mac.Kind, users int) metrics
 		// Plan with the expected concurrent traffic of the target scale.
 		// Expected concurrent packets per physical node: its emulated
 		// users' 1% duty budgets.
-		if err := alphaWANLoadPlan(op, band.AllChannels(), seed,
-			float64(users)/float64(len(op.Nodes))*0.01); err != nil {
-			panic(err)
-		}
+		alphaWANLoadPlan(op, band.AllChannels(), seed, float64(users)/float64(len(op.Nodes))*0.01)
 	}
 	// The MAC overlay goes in after planning/learning: the serialized
 	// learning sweeps bypass the regulator (and with it the slot gate) by
@@ -90,8 +86,7 @@ func fig13Run(seed int64, strat fig13Strategy, kind mac.Kind, users int) metrics
 		lmac := baseline.NewLMAC(n.Med)
 		for _, nd := range op.Nodes {
 			nd := nd
-			nd.DutyCycle = 1
-			mean := des.Time(float64(traffic.MeanIntervalForDutyCycle(nd, 0.01)) / factor)
+			mean := emulatedInterval(nd, factor, 0.01)
 			rng := n.Sim.NewStream(int64(nd.ID) + 7777)
 			var tick func()
 			tick = func() {

@@ -2,13 +2,8 @@ package experiments
 
 import (
 	"github.com/alphawan/alphawan/internal/alphawan/master"
-	"github.com/alphawan/alphawan/internal/des"
-	"github.com/alphawan/alphawan/internal/lora"
-	"github.com/alphawan/alphawan/internal/phy"
-	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/runner"
-	"github.com/alphawan/alphawan/internal/sim"
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
@@ -35,55 +30,29 @@ func runFig14(seed int64) *Result {
 	}
 	// Each adoption level is an independent 4-network deployment.
 	cells := runner.Map(5, func(adopting int) cellOut {
-		spec := master.FromBand(region.AS923)
-		n := sim.New(seed, testbedEnv(seed))
-		// Adopters register with a Master sized for the adopters; legacy
-		// networks use the standard grid plan (shift 0).
-		reg := master.NewRegistry(spec, max(adopting, 1))
+		// Adopters register with a Master sized for the adopters and split
+		// its misaligned plan across their gateways; legacy networks keep
+		// the standard grid plan (shift 0) on every gateway.
+		reg := master.NewRegistry(master.FromBand(region.AS923), max(adopting, 1))
+		caps := coexNetwork(seed, 4, func(k int) ([]region.Channel, bool) {
+			if k < 4-adopting { // legacy: only the last `adopting` networks adopt
+				return region.AS923.AllChannels(), false
+			}
+			alloc, err := reg.Register(opName(k))
+			if err != nil {
+				panic(err)
+			}
+			return alloc.Channels(), true
+		})
 		var out cellOut
-		for k := 0; k < 4; k++ {
-			op := n.AddOperator()
-			adopts := k >= 4-adopting // the last `adopting` networks adopt
-			var chans []region.Channel
-			if adopts {
-				alloc, err := reg.Register(opName(k))
-				if err != nil {
-					panic(err)
-				}
-				chans = alloc.Channels()
-			} else {
-				chans = region.AS923.AllChannels()
-			}
-			blocks := [][2]int{{0, 3}, {3, 3}, {6, 2}}
-			for g := 0; g < 3; g++ {
-				cfg := radio.Config{Sync: op.Sync}
-				if adopts {
-					b := blocks[g]
-					cfg.Channels = append(cfg.Channels, chans[b[0]:b[0]+b[1]]...)
-				} else {
-					cfg.Channels = chans
-				}
-				if _, err := op.AddGateway(cotsModel, phy.Pt(float64(k)*10+float64(g)*3, float64(k)), cfg); err != nil {
-					panic(err)
-				}
-			}
-			for i := 0; i < 24; i++ {
-				ch := chans[i%8]
-				dr := lora.DR((i/8*2 + k) % 6)
-				ang := float64(i+24*k) / 96
-				radius := 100 + float64((i*37+k*11)%250)
-				op.AddNode(phy.Pt(radius*cosTau(ang), radius*sinTau(ang)), []region.Channel{ch}, dr)
-			}
-		}
-		got := n.CapacityProbe(5 * des.Second)
 		var legacySum, legacyN, adoptSum, adoptN float64
-		for k := 0; k < 4; k++ {
-			out.caps[k] = got[n.Operators[k].ID]
+		for k, c := range caps {
+			out.caps[k] = c
 			if k >= 4-adopting {
-				adoptSum += float64(out.caps[k])
+				adoptSum += float64(c)
 				adoptN++
 			} else {
-				legacySum += float64(out.caps[k])
+				legacySum += float64(c)
 				legacyN++
 			}
 		}

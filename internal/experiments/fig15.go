@@ -5,7 +5,6 @@ import (
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/lora"
 	"github.com/alphawan/alphawan/internal/phy"
-	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/runner"
 	"github.com/alphawan/alphawan/internal/sim"
@@ -41,14 +40,7 @@ func runFig15(seed int64) *Result {
 		for k := 0; k < 2; k++ {
 			op := n.AddOperator()
 			chans := master.PlanChannelsWithShift(spec, region.Hz(int64(k)*int64(shift)))
-			blocks := [][2]int{{0, 3}, {3, 3}, {6, 2}}
-			for g := 0; g < 3; g++ {
-				b := blocks[g]
-				cfg := radio.Config{Sync: op.Sync, Channels: chans[b[0] : b[0]+b[1]]}
-				if _, err := op.AddGateway(cotsModel, phy.Pt(float64(k)*10+float64(g)*3, float64(k)), cfg); err != nil {
-					panic(err)
-				}
-			}
+			coexGateways(op, k, chans, true)
 			// Users cycle distinct (channel, DR) pairs; beyond 48 users
 			// the pairs repeat (channel contention, by design).
 			for i := 0; i < counts[k]; i++ {

@@ -5,7 +5,6 @@ import (
 	"github.com/alphawan/alphawan/internal/lora"
 	"github.com/alphawan/alphawan/internal/medium"
 	"github.com/alphawan/alphawan/internal/phy"
-	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
@@ -19,7 +18,7 @@ func init() {
 	})
 }
 
-// fig16PRR measures link-1 reception over an SNR sweep by varying the
+// fig16Threshold measures link-1 reception over an SNR sweep by varying the
 // master's distance; returns the lowest SNR at which reception succeeds
 // (the effective threshold).
 func fig16Threshold(seed int64, coexist bool, orth bool, intfPowerDBm float64) float64 {
@@ -31,20 +30,7 @@ func fig16Threshold(seed int64, coexist bool, orth bool, intfPowerDBm float64) f
 		sim := des.New(seed)
 		med := medium.New(sim, env)
 		masterCh := region.AS923.Channel(0)
-		r, err := radio.New(sim, radio.SX1302, radio.Config{
-			Channels: []region.Channel{masterCh}, Sync: lora.SyncPublic,
-		})
-		if err != nil {
-			panic(err)
-		}
-		port := med.Attach(r, phy.Pt(0, 0), phy.Omni(3))
-		med.WirePort(port)
-		ok := false
-		med.Deliveries.Subscribe(func(dv medium.Delivery) {
-			if dv.TX.Node == 1 {
-				ok = true
-			}
-		})
+		received := oneRadio(sim, med, []region.Channel{masterCh}, phy.Omni(3))
 		snr := env.SNRdB(phy.Link{TXPowerDBm: 14, TXPos: phy.Pt(d, 0), RXPos: phy.Pt(0, 0), RXAntenna: phy.Omni(3)})
 		sim.At(0, func() {
 			med.Transmit(medium.Transmission{
@@ -68,7 +54,7 @@ func fig16Threshold(seed int64, coexist bool, orth bool, intfPowerDBm float64) f
 			}
 		})
 		sim.Run()
-		if ok && snr < threshold {
+		if received[1] && snr < threshold {
 			threshold = snr
 		}
 	}

@@ -49,12 +49,7 @@ func runFig17(seed int64) *Result {
 	type aOut struct{ solve, dist, reboot float64 }
 	aCells := runner.Map(len(scenarios), func(i int) aOut {
 		sc := scenarios[i]
-		n, op := buildCity(seed, region.Testbed, sc.gws)
-		n.LearningSweep(0, des.Second, region.Testbed.AllChannels(), 3)
-		plan, err := alphaWANPlan(op, region.Testbed.AllChannels(), true, 0, seed)
-		if err != nil {
-			panic(err)
-		}
+		n, op, plan := plannedCity(seed, region.Testbed, sc.gws, true, 0)
 		// Scale the CP instance cost by emulated users: the paper solves
 		// per-device; our per-physical-node instance stands in for
 		// users/144 each, so wall-clock is measured on the real instance.
@@ -113,19 +108,16 @@ func runFig17(seed int64) *Result {
 		srv.Close()
 		// Parallel per-network solves: the slowest dominates. Re-use the
 		// 4-gateway solve measurement per network (3k users each).
-		n, op := buildCity(seed, region.AS923, 3)
-		n.LearningSweep(0, des.Second, region.AS923.AllChannels(), 3)
-		plan, err := alphaWANPlan(op, region.AS923.AllChannels(), true, 0, seed)
-		if err != nil {
-			panic(err)
+		_, _, plan := plannedCity(seed, region.AS923, 3, true, 0)
+		return bOut{
+			solve:  plan.Latency.Solve.Seconds(),
+			dist:   agent.DefaultDistributionDelay.Duration().Seconds(),
+			reboot: 4.62,
+			comms:  comms,
 		}
-		solve := plan.Latency.Solve.Seconds()
-		reboot := 4.62
-		dist := agent.DefaultDistributionDelay.Duration().Seconds()
-		return bOut{solve: solve, dist: dist, reboot: reboot, comms: comms}
 	})
 	for i, c := range bCells {
-		res.Table.AddRow(tabFmtInt("%d coexisting networks", i+2), c.dist, c.reboot)
+		res.Table.AddRow(sprintf("%d coexisting networks", i+2), c.dist, c.reboot)
 		res.Sidecarf("%d coexisting networks: CP solve %.2f s + master comms %.2f s wall-clock, total %.2f s",
 			i+2, c.solve, c.comms, c.solve+c.comms+c.dist+c.reboot)
 	}
@@ -133,8 +125,4 @@ func runFig17(seed int64) *Result {
 	res.Sidecarf("CP solve grows %.2f s → %.2f s with scale (paper: 0.45 → 1.37 s; our GA budget and hardware differ)", solve4k, solve12k)
 	res.Note("gateway reboot (≈4.8 s incl. distribution) dominates every upgrade (paper: reboot ≈4.62 s of <6 s totals); the hardware-bound solve and comms wall-clocks are reported in the sidecar")
 	return res
-}
-
-func tabFmtInt(format string, v int) string {
-	return sprintf(format, v)
 }

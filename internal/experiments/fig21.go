@@ -21,48 +21,19 @@ func init() {
 	})
 }
 
-// fig21State is one strategy's rolling deployment across the 53 weeks.
-type fig21State struct {
-	alphaWAN bool
-	n        *sim.Network
-	op       *sim.Operator
-	// op2 is the coexisting operator appearing in week 43.
-	op2     *sim.Operator
-	band    region.Band
-	gws     int
-	users   int
-	seed    int64
-	sampled []float64 // weekly PRR
-}
-
-// fig21Setup (re)builds the deployment for the current week's fleet and
-// user count. Rebuilding per measured week keeps the run tractable while
-// preserving the capacity balance that drives PRR.
-func (st *fig21State) measureWeek(week int) float64 {
-	n := sim.New(st.seed+int64(week), testbedEnv(st.seed))
-	st.n = n
-	op := n.AddOperator()
-	st.op = op
-	cfgs := baseline.StandardConfigs(st.band, st.gws, op.Sync)
-	for i, pos := range gwGridPositions(st.gws) {
-		if _, err := op.AddGateway(cotsModel, pos, cfgs[i]); err != nil {
-			panic(err)
-		}
-	}
+// fig21Week measures one strategy's PRR in one week on a fresh deployment
+// of that week's fleet and user count. Rebuilding per measured week keeps
+// the run tractable while preserving the capacity balance that drives PRR.
+func fig21Week(seed int64, week int, band region.Band, gws, users int, alphaWAN bool) float64 {
+	n := sim.New(seed+int64(week), testbedEnv(seed))
 	// Physical nodes emulate the user population (≤144 hardware nodes).
-	phys := 144
-	op.UniformNodesMargin(phys, 2100, 1600, st.band.AllChannels(), st.seed, 10)
-	for i, nd := range op.Nodes {
-		if i%3 != 0 {
-			nd.DR = lora.DR(i % 3)
-		}
-	}
-	op.AssignNodesToGatewayPlans()
-
-	if st.op2 != nil || week >= 43 {
+	const phys = 144
+	op := cityOperator(n, band, gws, phys, seed)
+	var op2 *sim.Operator
+	if week >= 43 {
 		// The coexisting operator: 5 gateways, 3,430 users, same spectrum.
-		op2 := n.AddOperator()
-		cfg2 := baseline.StandardConfigs(st.band, 5, op2.Sync)
+		op2 = n.AddOperator()
+		cfg2 := baseline.StandardConfigs(band, 5, op2.Sync)
 		for i := 0; i < 5; i++ {
 			pos := gwGridPositions(15)[i*3%15]
 			pos.Y += 50
@@ -70,34 +41,30 @@ func (st *fig21State) measureWeek(week int) float64 {
 				panic(err)
 			}
 		}
-		op2.UniformNodes(48, 2100, 1600, st.band.AllChannels(), st.seed+99)
+		op2.UniformNodes(48, 2100, 1600, band.AllChannels(), seed+99)
 		op2.AssignNodesToGatewayPlans()
-		st.op2 = op2
 	}
 
-	if st.alphaWAN {
-		n.LearningSweep(0, 200*des.Millisecond, st.band.AllChannels(), 2)
-		planChans := st.band.AllChannels()
-		if week >= 43 {
+	if alphaWAN {
+		n.LearningSweep(0, 200*des.Millisecond, band.AllChannels(), 2)
+		planChans := band.AllChannels()
+		if op2 != nil {
 			// Spectrum-sharing response to the new operator: the Master
 			// assigns this network a 100 kHz-shifted plan (20% overlap
 			// with the legacy grid), so the newcomer's packets no longer
 			// reach our decoders.
-			planChans = master.PlanChannelsWithShift(master.FromBand(st.band), 100_000)
+			planChans = master.PlanChannelsWithShift(master.FromBand(band), 100_000)
 		}
-		if err := alphaWANLoadPlan(op, planChans, st.seed,
-			float64(st.users)/float64(phys)*0.005); err != nil {
-			panic(err)
-		}
+		alphaWANLoadPlan(op, planChans, seed, float64(users)/phys*0.005)
 	}
 
 	// One representative traffic window for the week.
 	n.Col.Reset()
 	start := n.Sim.Now()
 	window := 2 * des.Minute
-	emulateUsers(n, op, st.users, 0.005, start, start+window)
-	if st.op2 != nil {
-		emulateUsers(n, st.op2, 3430, 0.005, start, start+window)
+	emulateUsers(n, op, users, 0.005, start, start+window)
+	if op2 != nil {
+		emulateUsers(n, op2, 3430, 0.005, start, start+window)
 	}
 	n.Sim.RunUntil(start + window + des.Minute)
 	return n.Col.Network(op.ID).PRR()
@@ -121,7 +88,7 @@ func runFig21(seed int64) *Result {
 
 	// Replay the timeline serially to snapshot the fleet state of every
 	// measured week; each (week, strategy) measurement then runs as an
-	// independent cell with a fresh deployment (measureWeek rebuilds from
+	// independent cell with a fresh deployment (fig21Week rebuilds from
 	// the snapshot, so cells carry no cross-week state).
 	type snap struct{ week, users, gws, chans int }
 	var snaps []snap
@@ -138,14 +105,7 @@ func runFig21(seed int64) *Result {
 	}
 	prrs := runner.Map(len(snaps)*2, func(i int) float64 {
 		s := snaps[i/2]
-		st := &fig21State{
-			alphaWAN: i%2 == 0,
-			band:     fullBand.SubBand(0, s.chans),
-			gws:      s.gws,
-			users:    s.users,
-			seed:     seed,
-		}
-		return st.measureWeek(s.week)
+		return fig21Week(seed, s.week, fullBand.SubBand(0, s.chans), s.gws, s.users, i%2 == 0)
 	})
 
 	var awWorst, awLast, stdLast float64

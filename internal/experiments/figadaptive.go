@@ -65,11 +65,7 @@ func runAdaptiveCell(seed int64, intensity float64, adapt bool) adaptCell {
 
 	plans := make([]*planner.Result, len(n.Operators))
 	for i, op := range n.Operators {
-		res, err := alphaWANPlan(op, channels, true, 4, seed+int64(i))
-		if err != nil {
-			panic(err)
-		}
-		plans[i] = res
+		plans[i] = alphaWANPlan(op, channels, true, 4, seed+int64(i))
 	}
 
 	// Traffic starts on the next whole second, giving the plan's MAC
@@ -194,7 +190,7 @@ func runAdaptive(seed int64) *Result {
 	cells := runner.Map(2*len(intensities), func(i int) adaptCell {
 		return runAdaptiveCell(seed, intensities[i/2], i%2 == 1)
 	})
-	totalViolations := 0
+	var violations []string
 	var staticHi, adaptHi []int // recovery times at intensity ≥ 0.5
 	for i, c := range cells {
 		intensity := intensities[i/2]
@@ -205,7 +201,7 @@ func runAdaptive(seed int64) *Result {
 		res.Table.AddRow(intensity, mode, c.stats.Sent, c.stats.Received, c.stats.PRR(),
 			c.recoverySecs, c.replans, c.adopted, c.pushed, len(c.violations))
 		res.Devices += 2 * prof.adaptNodes
-		totalViolations += len(c.violations)
+		violations = append(violations, c.violations...)
 		if intensity >= 0.5 {
 			if i%2 == 0 {
 				staticHi = append(staticHi, c.recoverySecs)
@@ -221,14 +217,6 @@ func runAdaptive(seed int64) *Result {
 	}
 	res.Note("mean recovery at intensity ≥ 0.5: static %.1f s, adaptive %.1f s",
 		float64(sSum)/float64(len(staticHi)), float64(aSum)/float64(len(adaptHi)))
-	if totalViolations == 0 {
-		res.Note("all conservation invariants held across every plan swap")
-	} else {
-		for _, c := range cells {
-			for _, v := range c.violations {
-				res.Note("WARNING: invariant violation: %s", v)
-			}
-		}
-	}
+	noteInvariants(res, "all conservation invariants held across every plan swap", violations)
 	return res
 }

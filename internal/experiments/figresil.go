@@ -79,13 +79,13 @@ func runResilience(seed int64) *Result {
 	cells := runner.Map(len(intensities), func(i int) resilCell {
 		return runResilienceCell(seed, intensities[i])
 	})
-	totalViolations := 0
+	var violations []string
 	var basePRR, fullPRR float64
 	for i, c := range cells {
 		res.Table.AddRow(intensities[i], c.stats.Sent, c.stats.Received, c.stats.PRR(),
 			c.inj.BackhaulDropped, c.inj.BackhaulDuplicated, c.inj.BackhaulReordered,
 			c.inj.CommandsDropped, len(c.violations))
-		totalViolations += len(c.violations)
+		violations = append(violations, c.violations...)
 		switch intensities[i] {
 		case 0:
 			basePRR = c.stats.PRR()
@@ -94,14 +94,18 @@ func runResilience(seed int64) *Result {
 		}
 	}
 	res.Note("delivery ratio degrades %.1f%% → %.1f%% from zero to full fault intensity", 100*basePRR, 100*fullPRR)
-	if totalViolations == 0 {
-		res.Note("all conservation invariants held at every intensity")
-	} else {
-		for _, c := range cells {
-			for _, v := range c.violations {
-				res.Note("WARNING: invariant violation: %s", v)
-			}
-		}
-	}
+	noteInvariants(res, "all conservation invariants held at every intensity", violations)
 	return res
+}
+
+// noteInvariants closes a chaos sweep's notes: held when no cell broke a
+// conservation invariant, otherwise one WARNING per violation in cell
+// order.
+func noteInvariants(res *Result, held string, violations []string) {
+	if len(violations) == 0 {
+		res.Notes = append(res.Notes, held)
+	}
+	for _, v := range violations {
+		res.Note("WARNING: invariant violation: %s", v)
+	}
 }

@@ -19,8 +19,9 @@ var goldenSlow = map[string]bool{
 
 // TestGolden pins every registered experiment's table and notes at seed 1
 // to the checked-in file testdata/golden/<id>.txt, byte for byte — the
-// gate a behaviour-preserving refactor has to pass. After an intentional
-// output change, regenerate with
+// gate a behaviour-preserving refactor has to pass — and fails on any
+// note containing WARNING, the runners' flag for a shape that misses the
+// paper's. After an intentional output change, regenerate with
 //
 //	go test ./internal/experiments/ -run Golden -update
 //
@@ -35,7 +36,13 @@ func TestGolden(t *testing.T) {
 				t.Skip("slow at full scale")
 			}
 			path := filepath.Join("testdata", "golden", e.ID+".txt")
-			got := renderResult(e.Run(1))
+			res := e.Run(1)
+			for _, n := range res.Notes {
+				if strings.Contains(n, "WARNING") {
+					t.Errorf("%s: %s", e.ID, n)
+				}
+			}
+			got := renderResult(res)
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)

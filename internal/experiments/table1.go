@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/lora"
-	"github.com/alphawan/alphawan/internal/phy"
 	"github.com/alphawan/alphawan/internal/radio"
 	"github.com/alphawan/alphawan/internal/region"
-	"github.com/alphawan/alphawan/internal/sim"
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
@@ -19,51 +16,32 @@ func init() {
 	})
 }
 
-// strategyProbe measures concurrent capacity for a gateway fleet described
-// by (model, configs) against 48 ring users on the 1.6 MHz band.
-func strategyProbe(seed int64, model radio.GatewayModel, cfgs []radio.Config) int {
-	n := sim.New(seed, flatEnv(seed))
-	op := n.AddOperator()
-	for i, cfg := range cfgs {
-		cfg.Sync = op.Sync
-		if _, err := op.AddGateway(model, phy.Pt(float64(i)*5, 0), cfg); err != nil {
-			panic(err)
-		}
-	}
-	ringNodes(op, 48, float64(len(cfgs)-1)*2.5, 0, 150, region.AS923.AllChannels())
-	got := n.CapacityProbe(5 * des.Second)
-	return got[op.ID]
-}
-
 func runTable1(seed int64) *Result {
 	res := &Result{Table: tabulate.New(
 		"Table 1 — strategy survey (3 gateways, 48 users, 1.6 MHz unless noted)",
 		"strategy", "capacity", "per-MHz", "COTS-deployable",
 	)}
-	full := func(n int) []radio.Config {
-		cfgs := make([]radio.Config, n)
-		for i := range cfgs {
-			cfgs[i] = radio.Config{Channels: region.AS923.AllChannels()}
-		}
-		return cfgs
+	// probe measures a gateway fleet described by (model, configs)
+	// against 48 ring users on the 1.6 MHz band.
+	probe := func(model radio.GatewayModel, cfgs ...radio.Config) int {
+		return clusterProbe(seed, model, cfgs, 48, region.AS923.AllChannels())
 	}
+	full := radio.Config{Channels: region.AS923.AllChannels()}
 
 	// Baseline: homogeneous SX1302 gateways.
-	base := strategyProbe(seed, cotsModel, full(3))
+	base := probe(cotsModel, full, full, full)
 	res.Table.AddRow("baseline (standard plans)", base, float64(base)/1.6, "—")
 
 	// ① fewer channels per gateway (3 GWs on disjoint thirds).
-	s1cfgs := []radio.Config{blockConfig(0, 3, 0), blockConfig(3, 3, 0), blockConfig(6, 2, 0)}
-	s1 := strategyProbe(seed, cotsModel, s1cfgs)
+	s1 := probe(cotsModel, blockConfig(0, 3), blockConfig(3, 3), blockConfig(6, 2))
 	res.Table.AddRow("① fewer channels per GW", s1, float64(s1)/1.6, "yes")
 
 	// ② heterogeneous overlapping configurations.
-	s2cfgs := []radio.Config{blockConfig(0, 8, 0), blockConfig(0, 4, 0), blockConfig(4, 4, 0)}
-	s2 := strategyProbe(seed, cotsModel, s2cfgs)
+	s2 := probe(cotsModel, blockConfig(0, 8), blockConfig(0, 4), blockConfig(4, 4))
 	res.Table.AddRow("② heterogeneous channels", s2, float64(s2)/1.6, "yes")
 
 	// ③ more decoders per gateway: the 32-decoder SX1303 product.
-	s3 := strategyProbe(seed, radio.Models[4], full(3)[:1]) // one RAK7289CV2
+	s3 := probe(radio.Models[4], full) // one RAK7289CV2
 	res.Table.AddRow("③ 32-decoder gateway (×1)", s3, float64(s3)/1.6, "no (hardware upgrade)")
 
 	// ④ more spectrum: same 3 homogeneous gateways, double the band.
@@ -71,17 +49,11 @@ func runTable1(seed int64) *Result {
 		Name: "wide", Start: region.AS923.Start, Spacing: region.AS923.Spacing,
 		Channels: 16, BW: lora.BW125, DutyCycle: 0.01,
 	}
-	n := sim.New(seed, flatEnv(seed))
-	op := n.AddOperator()
-	for i := 0; i < 3; i++ {
-		half := wide.SubBand(8*(i%2), 8)
-		cfg := radio.Config{Channels: half.AllChannels(), Sync: op.Sync}
-		if _, err := op.AddGateway(cotsModel, phy.Pt(float64(i)*5, 0), cfg); err != nil {
-			panic(err)
-		}
+	halves := make([]radio.Config, 3)
+	for i := range halves {
+		halves[i].Channels = wide.SubBand(8*(i%2), 8).AllChannels()
 	}
-	ringNodes(op, 96, 5, 0, 150, wide.AllChannels())
-	s4 := n.CapacityProbe(5 * des.Second)[op.ID]
+	s4 := clusterProbe(seed, cotsModel, halves, 96, wide.AllChannels())
 	res.Table.AddRow("④ double spectrum (3.2 MHz)", s4, float64(s4)/3.2, "spectrum-limited")
 
 	res.Note("① lifts capacity %d → %d and ② %d → %d within the same spectrum (deployable on COTS gateways)", base, s1, base, s2)

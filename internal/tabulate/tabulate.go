@@ -1,6 +1,6 @@
 // Package tabulate renders experiment results as aligned plain-text
-// tables and CSV — the output format of cmd/alphawan-sim and the
-// benchmark harness.
+// tables and CSV — the table inside every experiments.Result, printed by
+// cmd/alphawan-sim and cmd/alphawan-report.
 package tabulate
 
 import (
