@@ -78,17 +78,63 @@ func TestPublicAPIMaster(t *testing.T) {
 	}
 }
 
-// TestPublicAPIExperiments checks the registry surface.
+// TestPublicAPIExperiments composes, through the facade alone, the
+// two-operator city the benchmark's node-city workload builds: standard
+// Testbed plans on RAK7268CV2 gateways placed with Pt, statically
+// provisioned data rates, then a short run of Poisson traffic whose
+// outcome each operator must account for packet by packet.
 func TestPublicAPIExperiments(t *testing.T) {
-	if len(alphawan.Experiments()) < 25 {
-		t.Errorf("experiments = %d", len(alphawan.Experiments()))
+	env := alphawan.Urban(1)
+	env.Exponent = 3.0
+	env.ShadowSigma = 6
+	net := alphawan.NewNetwork(1, env)
+	deploy := func(gws, phys int, x0, y0 float64, seed int64) *alphawan.Operator {
+		op := net.AddOperator()
+		cfgs := alphawan.StandardConfigs(alphawan.Testbed, gws, op.Sync)
+		for i := 0; i < gws; i++ {
+			pos := alphawan.Pt(x0+float64(i%5)*425, y0+float64(i/5)*600)
+			if _, err := op.AddGateway(alphawan.RAK7268CV2, pos, cfgs[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		op.UniformNodesMargin(phys, 2100, 1600, alphawan.Testbed.AllChannels(), seed, 10)
+		for i, nd := range op.Nodes {
+			if i%3 != 0 {
+				nd.DR = alphawan.DR(i % 3)
+			}
+		}
+		op.AssignNodesToGatewayPlans()
+		return op
 	}
-	e, ok := alphawan.GetExperiment("table4")
-	if !ok {
-		t.Fatal("table4 missing")
+	a := deploy(10, 60, 200, 200, 1)
+	b := deploy(5, 30, 412, 500, 2)
+	if a.Sync == b.Sync {
+		t.Fatal("co-located operators share a sync word")
 	}
-	if res := e.Run(1); res.Table.Rows() == 0 {
-		t.Error("no rows")
+
+	covered := map[alphawan.Channel]bool{}
+	for _, gw := range a.Gateways {
+		if gw.Config().Sync != a.Sync {
+			t.Errorf("gateway %d filters sync %v, want its operator's %v", gw.ID, gw.Config().Sync, a.Sync)
+		}
+		for _, ch := range gw.Config().Channels {
+			covered[ch] = true
+		}
+	}
+	if len(covered) != alphawan.Testbed.Channels {
+		t.Errorf("standard plans cover %d channels, want all %d of the band", len(covered), alphawan.Testbed.Channels)
+	}
+
+	net.RunBackgroundTraffic(0, 60*alphawan.Second, 10*alphawan.Second)
+	for _, op := range []*alphawan.Operator{a, b} {
+		s := net.Col.Network(op.ID)
+		lost := 0
+		for _, n := range s.Losses {
+			lost += n
+		}
+		if s.Received == 0 || s.Sent != s.Received+lost {
+			t.Errorf("operator %d: sent %d, received %d, lost %d", op.ID, s.Sent, s.Received, lost)
+		}
 	}
 }
 

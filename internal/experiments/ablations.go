@@ -14,32 +14,32 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
+var (
+	ablPrefilter = Experiment{
 		ID:    "abl-prefilter",
 		Title: "Ablation: decode-then-filter vs an ideal pre-filtering radio",
 		Paper: "Counterfactual: if sync words were readable before decoding, coexisting networks would not share one decoder pool (Figure 2b would not sum to 16).",
 		Run:   runAblPreFilter,
-	})
-	register(Experiment{
+	}
+	ablSeeding = Experiment{
 		ID:    "abl-seeding",
 		Title: "Ablation: greedy-seeded GA vs random-start GA",
 		Paper: "Design choice: the constructive seed accelerates and stabilizes CP convergence.",
 		Run:   runAblSeeding,
-	})
-	register(Experiment{
+	}
+	ablOverlap = Experiment{
 		ID:    "abl-overlap",
 		Title: "Ablation: frequency-selectivity detection threshold sensitivity",
 		Paper: "Design choice: the 0.75 detect threshold sets how many networks the Master can isolate per band.",
 		Run:   runAblOverlap,
-	})
-	register(Experiment{
+	}
+	ablTrafficWin = Experiment{
 		ID:    "abl-trafficwin",
 		Title: "Ablation: peak-biased vs mean traffic-window selection",
 		Paper: "Design choice (§4.3.1): training the solver on high-demand windows keeps plans valid under bursts.",
 		Run:   runAblTrafficWindows,
-	})
-}
+	}
+)
 
 // runAblPreFilter compares the measured coexistence budget against an
 // idealized radio that filters foreign packets at lock-on (zero decoder

@@ -15,20 +15,20 @@ import (
 	"github.com/alphawan/alphawan/internal/traffic"
 )
 
-func init() {
-	register(Experiment{
+var (
+	city1M = Experiment{
 		ID:    "city-1M",
 		Title: "City-scale coexistence: 100k-1M devices, two operators, three strategies (sharded SoA core)",
 		Paper: "§6's massive-connectivity projection: LoRaWAN-class networks must absorb city populations of IoT devices; harmonious channel planning keeps delivery high where unplanned coexistence saturates.",
 		Run:   runCity1M,
-	})
-	register(Experiment{
+	}
+	citySmoke = Experiment{
 		ID:    "city-smoke",
 		Title: "City-scale smoke cell: one AlphaWAN-planned run at the CI scale",
 		Paper: "CI-sized cut of city-1M: a single planned-coexistence run whose bytes/device footprint the workflow gates.",
 		Run:   runCitySmoke,
-	})
-}
+	}
+)
 
 // cityStrategy selects how operator A (the AlphaWAN adopter candidate)
 // assigns gateway channel plans and whether its gateways cancel

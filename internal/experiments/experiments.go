@@ -8,7 +8,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
@@ -53,38 +52,27 @@ type Experiment struct {
 	Run func(seed int64) *Result
 }
 
-var registry = map[string]Experiment{}
-
-// register adds an experiment at init time.
-func register(e Experiment) {
-	if _, dup := registry[e.ID]; dup {
-		panic("experiments: duplicate id " + e.ID)
-	}
-	registry[e.ID] = e
+// all lists every experiment once, in id order; each is declared next to
+// its runner.
+var all = []Experiment{
+	ablOverlap, ablPrefilter, ablSeeding, ablTrafficWin,
+	city1M, citySmoke,
+	figAdaptive, figMac, figResilience,
+	fig02a, fig02b, fig03ab, fig03cd, fig03ef, fig04a, fig04b, fig05a, fig05b,
+	fig06, fig07, fig08, fig12a, fig12b, fig12c, fig12de,
+	fig13, fig14, fig15, fig16, fig17, fig18, fig21,
+	table1, table4,
 }
 
 // Get returns an experiment by id.
 func Get(id string) (Experiment, bool) {
-	e, ok := registry[id]
-	return e, ok
+	for _, e := range all {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
 // All returns every experiment sorted by id.
-func All() []Experiment {
-	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// IDs returns the sorted experiment ids.
-func IDs() []string {
-	all := All()
-	ids := make([]string, len(all))
-	for i, e := range all {
-		ids[i] = e.ID
-	}
-	return ids
-}
+func All() []Experiment { return append([]Experiment(nil), all...) }

@@ -12,20 +12,20 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
+var (
+	fig02a = Experiment{
 		ID:    "fig02a",
 		Title: "Capacity gaps of an operational LoRaWAN (1 vs 3 gateways vs oracle)",
 		Paper: "TTN receives at most 16 concurrent packets — one third of the 48-user oracle — and 3 homogeneous gateways do not improve it.",
 		Run:   runFig02a,
-	})
-	register(Experiment{
+	}
+	fig02b = Experiment{
 		ID:    "fig02b",
 		Title: "Two coexisting LoRaWANs: received packets always sum to the decoder pool",
 		Paper: "Across transmission settings, the two networks' successful receptions always add up to 16.",
 		Run:   runFig02b,
-	})
-}
+	}
+)
 
 func runFig02a(seed int64) *Result {
 	res := &Result{Table: tabulate.New(

@@ -14,26 +14,26 @@ import (
 	"github.com/alphawan/alphawan/internal/traffic"
 )
 
-func init() {
-	register(Experiment{
+var (
+	fig03ab = Experiment{
 		ID:    "fig03ab",
 		Title: "Lock-on order decides reception (Scheme a vs Scheme b, 20 nodes)",
 		Paper: "Packets are received in lock-on (preamble-end) order: Scheme (b) receives exactly nodes 1–16; Scheme (a)'s winners scatter by preamble length.",
 		Run:   runFig03ab,
-	})
-	register(Experiment{
+	}
+	fig03cd = Experiment{
 		ID:    "fig03cd",
 		Title: "FCFS ignores SNR and channel crowdedness",
 		Paper: "Low-SNR (-10 dB) packets and packets from crowded channels are received whenever they lock on early; late high-SNR packets drop.",
 		Run:   runFig03cd,
-	})
-	register(Experiment{
+	}
+	fig03ef = Experiment{
 		ID:    "fig03ef",
 		Title: "Coexisting networks: foreign packets occupy decoders before filtering",
 		Paper: "Each network's gateway receives only its own early packets; the other network's packets still consume its decoders.",
 		Run:   runFig03ef,
-	})
-}
+	}
+)
 
 // twentyNodes builds the §3.1 micro-benchmark: one SX1302 gateway, 20
 // nodes with distinct (channel, DR) settings (no collisions), positioned

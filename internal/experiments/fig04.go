@@ -8,20 +8,20 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
+var (
+	fig04a = Experiment{
 		ID:    "fig04a",
 		Title: "Packet-loss causes vs user scale (single network)",
 		Paper: "Channel contention dominates small networks; decoder contention overtakes it beyond ≈3,000 users.",
 		Run:   runFig04a,
-	})
-	register(Experiment{
+	}
+	fig04b = Experiment{
 		ID:    "fig04b",
 		Title: "Packet-loss causes vs number of coexisting networks (1k users each)",
 		Paper: "Inter-network decoder contention becomes the leading loss cause with ≥3 coexisting networks.",
 		Run:   runFig04b,
-	})
-}
+	}
+)
 
 // lossRow extracts the Figure 4 breakdown from network stats.
 func lossRow(s metrics.NetworkStats) (decIntra, decInter, chIntra, chInter, others, total float64) {

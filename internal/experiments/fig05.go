@@ -8,20 +8,20 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
+var (
+	fig05a = Experiment{
 		ID:    "fig05a",
 		Title: "Strategy ①: fewer channels per gateway concentrate decoder resources",
 		Paper: "Five gateways in 1.6 MHz: total capacity grows from 16 to 48 concurrent users as channels per gateway drop from 8 to 2.",
 		Run:   runFig05a,
-	})
-	register(Experiment{
+	}
+	fig05b = Experiment{
 		ID:    "fig05b",
 		Title: "Strategy ②: heterogeneous channel configurations across 3 gateways",
 		Paper: "Standard homogeneous plans cap at 16; heterogeneous settings lift capacity to 24 and beyond.",
 		Run:   runFig05b,
-	})
-}
+	}
+)
 
 // blockConfig builds a config covering `count` consecutive channels
 // starting at `start` (mod 8) of the AS923 band.

@@ -12,13 +12,11 @@ import (
 	"github.com/alphawan/alphawan/internal/traffic"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig06",
-		Title: "Standard ADR: cell shrinking and unbalanced data-rate usage",
-		Paper: "ADR cuts user-gateway redundancy from ≈7 to ≈2 gateways per user but pushes >90% of users to DR5, starving slow rates.",
-		Run:   runFig06,
-	})
+var fig06 = Experiment{
+	ID:    "fig06",
+	Title: "Standard ADR: cell shrinking and unbalanced data-rate usage",
+	Paper: "ADR cuts user-gateway redundancy from ≈7 to ≈2 gateways per user but pushes >90% of users to DR5, starving slow rates.",
+	Run:   runFig06,
 }
 
 func runFig06(seed int64) *Result {

@@ -11,13 +11,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig07",
-		Title: "Directional antennas attenuate but do not reject off-steer packets",
-		Paper: "Packets from non-steered directions are weakened by 14–40 dB yet still received, thanks to LoRa sensitivity — directional antennas alone cannot curb decoder contention.",
-		Run:   runFig07,
-	})
+var fig07 = Experiment{
+	ID:    "fig07",
+	Title: "Directional antennas attenuate but do not reject off-steer packets",
+	Paper: "Packets from non-steered directions are weakened by 14–40 dB yet still received, thanks to LoRa sensitivity — directional antennas alone cannot curb decoder contention.",
+	Run:   runFig07,
 }
 
 func runFig07(seed int64) *Result {

@@ -11,13 +11,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig08",
-		Title: "Overlapping channels: packet reception vs overlap ratio",
-		Paper: "≤60% overlap (≥40% misalignment) keeps PRR above 80% even with non-orthogonal data rates; full overlap with strong non-orthogonal interference is destructive.",
-		Run:   runFig08,
-	})
+var fig08 = Experiment{
+	ID:    "fig08",
+	Title: "Overlapping channels: packet reception vs overlap ratio",
+	Paper: "≤60% overlap (≥40% misalignment) keeps PRR above 80% even with non-orthogonal data rates; full overlap with strong non-orthogonal interference is destructive.",
+	Run:   runFig08,
 }
 
 // fig08Trial measures the master link's reception once under the given

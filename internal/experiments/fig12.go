@@ -10,32 +10,32 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
+var (
+	fig12a = Experiment{
 		ID:    "fig12a",
 		Title: "More gateways, more gains: capacity vs gateway count (144 users, 4.8 MHz)",
 		Paper: "Standard LoRaWAN caps at 48; AlphaWAN scales linearly with gateways and reaches the 144-user oracle at 9 gateways; Random CP and the no-Strategy-① variant land in between.",
 		Run:   runFig12a,
-	})
-	register(Experiment{
+	}
+	fig12b = Experiment{
 		ID:    "fig12b",
 		Title: "Spectrum efficiency: capacity vs operating spectrum (15 gateways)",
 		Paper: "Capacity scales with spectrum for every strategy; full AlphaWAN achieves ≈3.9× the per-MHz user capacity of standard LoRaWAN.",
 		Run:   runFig12b,
-	})
-	register(Experiment{
+	}
+	fig12c = Experiment{
 		ID:    "fig12c",
 		Title: "Contention management: gateway-side only vs gateway+node cooperation",
 		Paper: "Mean capacity grows 42 → 57 → 68 users from standard LoRaWAN to AlphaWAN without and with node-side cooperation.",
 		Run:   runFig12c,
-	})
-	register(Experiment{
+	}
+	fig12de = Experiment{
 		ID:    "fig12de",
 		Title: "Spectrum sharing among 1–6 coexisting networks (3 GWs + 24 users each)",
 		Paper: "Standard per-network capacity collapses as networks multiply; AlphaWAN sustains ≥20 users per network and improves per-MHz utilization by 158.9%–778.1%.",
 		Run:   runFig12de,
-	})
-}
+	}
+)
 
 // fig12Arms are the strategy columns of Figures 12a and 12b: standard
 // LoRaWAN, Random CP, AlphaWAN without Strategy ① (8 fixed channels per

@@ -14,13 +14,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig13",
-		Title: "IoT connectivity at scale: 2k–12k users, six strategies (15 GWs, 4.8 MHz)",
-		Paper: "LoRaWAN w/o ADR, LMAC, and CIC saturate near 6k users (decoder contention); ADR and Random CP go further; AlphaWAN keeps PRR above 85% at 12k users.",
-		Run:   runFig13,
-	})
+var fig13 = Experiment{
+	ID:    "fig13",
+	Title: "IoT connectivity at scale: 2k–12k users, six strategies (15 GWs, 4.8 MHz)",
+	Paper: "LoRaWAN w/o ADR, LMAC, and CIC saturate near 6k users (decoder contention); ADR and Random CP go further; AlphaWAN keeps PRR above 85% at 12k users.",
+	Run:   runFig13,
 }
 
 // fig13Strategy identifies one §5.2.1 strategy.

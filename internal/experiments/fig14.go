@@ -7,13 +7,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig14",
-		Title: "Partial adoption: 0–4 of 4 coexisting networks run AlphaWAN",
-		Paper: "Adopting networks roughly double their capacity; legacy networks improve slightly as contention leaves their channels; full adoption lifts everyone.",
-		Run:   runFig14,
-	})
+var fig14 = Experiment{
+	ID:    "fig14",
+	Title: "Partial adoption: 0–4 of 4 coexisting networks run AlphaWAN",
+	Paper: "Adopting networks roughly double their capacity; legacy networks improve slightly as contention leaves their channels; full adoption lifts everyone.",
+	Run:   runFig14,
 }
 
 // runFig14 deploys four coexisting networks (3 GWs + 24 users each) and

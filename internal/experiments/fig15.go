@@ -11,13 +11,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig15",
-		Title: "Fairness between coexisting networks under varying load (40% overlap plans)",
-		Paper: "Both networks keep >90% service ratios until network 2 exceeds the 48-user spectrum capacity; then only network 2's ratio collapses while network 1 stays >80%.",
-		Run:   runFig15,
-	})
+var fig15 = Experiment{
+	ID:    "fig15",
+	Title: "Fairness between coexisting networks under varying load (40% overlap plans)",
+	Paper: "Both networks keep >90% service ratios until network 2 exceeds the 48-user spectrum capacity; then only network 2's ratio collapses while network 1 stays >80%.",
+	Run:   runFig15,
 }
 
 // runFig15 deploys two Master-coordinated networks in 1.6 MHz: network 1

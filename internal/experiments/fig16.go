@@ -9,13 +9,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig16",
-		Title: "Spectrum sharing's impact on packet reception thresholds (20% overlap)",
-		Paper: "Without coexistence the DR4 threshold sits near -13 dB; orthogonal-DR interference barely moves it; non-orthogonal interference on a 20%-overlap channel raises it by 3.3–3.7 dB.",
-		Run:   runFig16,
-	})
+var fig16 = Experiment{
+	ID:    "fig16",
+	Title: "Spectrum sharing's impact on packet reception thresholds (20% overlap)",
+	Paper: "Without coexistence the DR4 threshold sits near -13 dB; orthogonal-DR interference barely moves it; non-orthogonal interference on a 20%-overlap channel raises it by 3.3–3.7 dB.",
+	Run:   runFig16,
 }
 
 // fig16Threshold measures link-1 reception over an SNR sweep by varying the

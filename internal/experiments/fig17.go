@@ -11,13 +11,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig17",
-		Title: "Latency of a capacity upgrade: CP solve, distribution, reboot, Master comms",
-		Paper: "Gateway rebooting (≈4.62 s) dominates; CP solving grows 0.45 s → 1.37 s from 4k to 12k users; Master comms add 0.17–0.28 s; totals stay under 6 s.",
-		Run:   runFig17,
-	})
+var fig17 = Experiment{
+	ID:    "fig17",
+	Title: "Latency of a capacity upgrade: CP solve, distribution, reboot, Master comms",
+	Paper: "Gateway rebooting (≈4.62 s) dominates; CP solving grows 0.45 s → 1.37 s from 4k to 12k users; Master comms add 0.17–0.28 s; totals stay under 6 s.",
+	Run:   runFig17,
 }
 
 // runFig17 splits the latency breakdown by nature: the modeled

@@ -8,20 +8,20 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
+var (
+	fig18 = Experiment{
 		ID:    "fig18",
 		Title: "LoRaWAN spectrum allocations across countries/regions",
 		Paper: "Over 70% of countries and regions authorize less than 6.5 MHz for LoRaWAN.",
 		Run:   runFig18,
-	})
-	register(Experiment{
+	}
+	table4 = Experiment{
 		ID:    "table4",
 		Title: "Commercial gateway capacities: decoders vs theoretical channel capacity",
 		Paper: "No COTS gateway has enough decoders for its spectrum: practical capacity (8–32) falls far below theoretical (54–108).",
 		Run:   runTable4,
-	})
-}
+	}
+)
 
 func sprintf(format string, args ...any) string { return fmt.Sprintf(format, args...) }
 

@@ -12,13 +12,11 @@ import (
 	"github.com/alphawan/alphawan/internal/traffic"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig21",
-		Title: "Appendix D: 53-week user expansion with mid-life interventions",
-		Paper: "AlphaWAN sustains >90% PRR through a 7k-user surge (wk13, +5 GWs), a spectrum extension (wk27), and a coexisting operator (wk43); standard LoRaWAN sinks below 50%.",
-		Run:   runFig21,
-	})
+var fig21 = Experiment{
+	ID:    "fig21",
+	Title: "Appendix D: 53-week user expansion with mid-life interventions",
+	Paper: "AlphaWAN sustains >90% PRR through a 7k-user surge (wk13, +5 GWs), a spectrum extension (wk27), and a coexisting operator (wk43); standard LoRaWAN sinks below 50%.",
+	Run:   runFig21,
 }
 
 // fig21Week measures one strategy's PRR in one week on a fresh deployment

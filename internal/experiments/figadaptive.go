@@ -13,13 +13,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig-adaptive",
-		Title: "Recovery time vs fault intensity: static plan vs closed-loop replanning",
-		Paper: "Adaptivity extension: AlphaWAN's planner runs once and never reacts; a Master-side control loop that replans from live telemetry when gateways fail or degrade should recover delivery throughput measurably faster than the static plan, at every fault intensity, without violating any conservation invariant across plan swaps.",
-		Run:   runAdaptive,
-	})
+var figAdaptive = Experiment{
+	ID:    "fig-adaptive",
+	Title: "Recovery time vs fault intensity: static plan vs closed-loop replanning",
+	Paper: "Adaptivity extension: AlphaWAN's planner runs once and never reacts; a Master-side control loop that replans from live telemetry when gateways fail or degrade should recover delivery throughput measurably faster than the static plan, at every fault intensity, without violating any conservation invariant across plan swaps.",
+	Run:   runAdaptive,
 }
 
 // adaptPlan is the canonical fault schedule of the sweep, in absolute

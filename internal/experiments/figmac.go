@@ -7,13 +7,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig-mac",
-		Title: "MAC strategy matrix: {standard, CIC, AlphaWAN} × {pure, slotted, capture} on both simulation paths",
-		Paper: "The coexistence principles compose with the access layer: the paper's channel planning assumes ALOHA, but slotted overlays and capture-capable concurrent decoding each attack a different loss cause, so the right pairing beats either alone.",
-		Run:   runFigMac,
-	})
+var figMac = Experiment{
+	ID:    "fig-mac",
+	Title: "MAC strategy matrix: {standard, CIC, AlphaWAN} × {pure, slotted, capture} on both simulation paths",
+	Paper: "The coexistence principles compose with the access layer: the paper's channel planning assumes ALOHA, but slotted overlays and capture-capable concurrent decoding each attack a different loss cause, so the right pairing beats either alone.",
+	Run:   runFigMac,
 }
 
 // figMacStrats is the coexistence-strategy axis of the matrix, with the

@@ -10,13 +10,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fig-resilience",
-		Title: "Delivery ratio vs fault intensity (chaos sweep)",
-		Paper: "Robustness extension: a multi-network deployment under injected gateway outages, decoder degradation, and backhaul chaos should degrade gracefully and uphold every conservation invariant at all intensities.",
-		Run:   runResilience,
-	})
+var figResilience = Experiment{
+	ID:    "fig-resilience",
+	Title: "Delivery ratio vs fault intensity (chaos sweep)",
+	Paper: "Robustness extension: a multi-network deployment under injected gateway outages, decoder degradation, and backhaul chaos should degrade gracefully and uphold every conservation invariant at all intensities.",
+	Run:   runResilience,
 }
 
 // resilPlan is the canonical chaos schedule of the sweep, positioned as

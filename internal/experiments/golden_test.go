@@ -36,7 +36,7 @@ func TestGolden(t *testing.T) {
 				t.Skip("slow at full scale")
 			}
 			path := filepath.Join("testdata", "golden", e.ID+".txt")
-			res := e.Run(1)
+			res := runSeed1(e)
 			for _, n := range res.Notes {
 				if strings.Contains(n, "WARNING") {
 					t.Errorf("%s: %s", e.ID, n)

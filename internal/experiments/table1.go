@@ -7,13 +7,11 @@ import (
 	"github.com/alphawan/alphawan/internal/tabulate"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "table1",
-		Title: "Strategy survey: capacity effect of each design principle (§4.2)",
-		Paper: "Strategies ①/②/⑦/⑧ are deployable on COTS hardware; ③ needs new gateways; ④ adds capacity but not per-spectrum efficiency; ⑤/⑥ are blunted by LoRa sensitivity.",
-		Run:   runTable1,
-	})
+var table1 = Experiment{
+	ID:    "table1",
+	Title: "Strategy survey: capacity effect of each design principle (§4.2)",
+	Paper: "Strategies ①/②/⑦/⑧ are deployable on COTS hardware; ③ needs new gateways; ④ adds capacity but not per-spectrum efficiency; ⑤/⑥ are blunted by LoRa sensitivity.",
+	Run:   runTable1,
 }
 
 func runTable1(seed int64) *Result {

@@ -65,26 +65,11 @@ func Urban(seed int64) Environment {
 	return Environment{PL0: 91, D0: 40, Exponent: 3.5, ShadowSigma: 4, Seed: seed}
 }
 
-// Suburban returns a milder propagation profile (longer range, as in the
-// paper's ">10 km suburban" coverage quote).
-func Suburban(seed int64) Environment {
-	return Environment{PL0: 87, D0: 40, Exponent: 2.9, ShadowSigma: 3, Seed: seed}
-}
-
-// DenseUrban returns the heavy-attenuation profile of the paper's testbed
-// traces (Appendix D: packet SNRs from -15 dB to +5 dB across the 2.1 km ×
-// 1.6 km area with building blockage and indoor links): with 14 dBm TX a
-// 200 m link sits near +2 dB and 700 m near -18 dB, spreading users across
-// all six data rates as in Figure 11.
-func DenseUrban(seed int64) Environment {
-	return Environment{PL0: 118, D0: 40, Exponent: 3.8, ShadowSigma: 6, Seed: seed}
-}
-
 // Metro returns the propagation profile of the city-scale sharded runs
-// (the `city-1M` sweep): urban attenuation midway between Urban and
-// DenseUrban, with shadowing clamped at 3σ so a transmission's worst-case
-// reach — and therefore the set of grid cells its interference must be
-// exported to — is hard-bounded. With 14 dBm TX the DR0 demodulation
+// (the `city-1M` sweep): heavier attenuation than Urban (a 105 dB
+// reference loss and a 3.6 exponent), with shadowing clamped at 3σ so a
+// transmission's worst-case reach — and therefore the set of grid cells
+// its interference must be exported to — is hard-bounded. With 14 dBm TX the DR0 demodulation
 // floor closes at ≈900 m, giving the ~1.2 km gateway grids of the city
 // experiments realistic edge users at every data rate.
 func Metro(seed int64) Environment {
