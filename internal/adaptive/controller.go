@@ -1,3 +1,19 @@
+// Package adaptive closes the loop the paper leaves open: the Master
+// plans once, the faults subsystem injects, and nothing reacts. Here a
+// Master-side control loop reads the fault injector's record of the
+// drifted network (gateways up or down, degraded decoder pools), and on a
+// DES-clocked cadence re-prices the live channel plan with a full cp
+// Evaluate and runs a bounded warm-started re-solve. A candidate plan is
+// adopted only when it is valid and no worse than the incumbent under the
+// fault state that triggered it; adopted diffs are pushed to gateways and
+// end devices through the existing command-delivery seam.
+//
+// Determinism: the controller only reads the injector (it subscribes to
+// nothing and draws none of the injector's randomness), its ticks are
+// scheduled on the DES clock at attach time, and each re-solve draws from
+// its own deterministic seed — so the same simulation seed and fault plan
+// reproduce the identical replan decisions bit for bit, and with no
+// faults attached the whole loop is a provable no-op.
 package adaptive
 
 import (
@@ -8,6 +24,7 @@ import (
 	"github.com/alphawan/alphawan/internal/alphawan/planner"
 	"github.com/alphawan/alphawan/internal/des"
 	"github.com/alphawan/alphawan/internal/events"
+	"github.com/alphawan/alphawan/internal/faults"
 	"github.com/alphawan/alphawan/internal/frame"
 	"github.com/alphawan/alphawan/internal/lora"
 	"github.com/alphawan/alphawan/internal/radio"
@@ -38,7 +55,7 @@ type PlanEvent struct {
 	Epoch uint64
 	// Adopted mirrors Decision.Adopted; Changed is len(Decision.Diff).
 	// An adopted decision with Changed == 0 means the incumbent was
-	// already optimal under the drifted view — nothing is pushed.
+	// already optimal under the drifted problem — nothing is pushed.
 	Adopted   bool
 	Changed   int
 	Incumbent cp.Cost
@@ -51,10 +68,10 @@ type Controller struct {
 	// must stay pure (this is the invariants hook).
 	Events events.Topic[PlanEvent]
 
-	n    *sim.Network
-	op   *sim.Operator
-	view *View
-	cfg  Config
+	n   *sim.Network
+	op  *sim.Operator
+	inj *faults.Injector
+	cfg Config
 
 	base      *cp.Problem
 	incumbent *cp.Assignment
@@ -68,8 +85,9 @@ type Controller struct {
 
 // Attach wires a control loop for one operator over its live plan and
 // schedules its ticks. The plan must carry Problem, Assignment and
-// Devices (a planner.Plan result does).
-func Attach(n *sim.Network, op *sim.Operator, plan *planner.Result, view *View, cfg Config) (*Controller, error) {
+// Devices (a planner.Plan result does); inj is the fault state the loop
+// replans against.
+func Attach(n *sim.Network, op *sim.Operator, plan *planner.Result, inj *faults.Injector, cfg Config) (*Controller, error) {
 	if plan.Problem == nil || plan.Assignment == nil {
 		return nil, fmt.Errorf("adaptive: plan carries no problem/assignment")
 	}
@@ -81,7 +99,7 @@ func Attach(n *sim.Network, op *sim.Operator, plan *planner.Result, view *View, 
 		return nil, fmt.Errorf("adaptive: non-positive tick interval")
 	}
 	c := &Controller{
-		n: n, op: op, view: view, cfg: cfg,
+		n: n, op: op, inj: inj, cfg: cfg,
 		base:      plan.Problem,
 		incumbent: plan.Assignment.Clone(),
 		devices:   plan.Devices,
@@ -105,7 +123,7 @@ func (c *Controller) Incumbent() *cp.Assignment { return c.incumbent }
 // the RNG, or the command path — which is what makes an adaptive run
 // with an empty fault plan byte-identical to a static one.
 func (c *Controller) tick() {
-	epoch := c.view.Epoch()
+	epoch := c.inj.Epoch()
 	if epoch == c.lastEpoch {
 		return
 	}
@@ -141,7 +159,7 @@ func (c *Controller) tick() {
 	c.incumbent = d.Candidate.Clone()
 }
 
-// driftedProblem projects the view's fault state onto the base problem:
+// driftedProblem projects the injector's fault state onto the base problem:
 // degraded gateways lose decoders, and nodes lose reachability through
 // down gateways. The base problem is never mutated (cp problems are
 // immutable after first evaluation); a drifted copy gets its own
@@ -153,10 +171,10 @@ func (c *Controller) driftedProblem() *cp.Problem {
 	anyDown := false
 	for j, spec := range c.base.Gateways {
 		gwID := c.op.Gateways[j].ID
-		if cap := c.view.DecoderCap(gwID); cap > 0 && cap < spec.Decoders {
+		if cap := c.inj.DecoderCap(gwID); cap > 0 && cap < spec.Decoders {
 			spec.Decoders = cap
 		}
-		if c.view.GatewayDown(gwID) {
+		if c.inj.GatewayDown(gwID) {
 			down[j] = true
 			anyDown = true
 		}

@@ -3,6 +3,7 @@ package adaptive
 import (
 	"testing"
 
+	"github.com/alphawan/alphawan/internal/alphawan/cp"
 	"github.com/alphawan/alphawan/internal/alphawan/evolve"
 	"github.com/alphawan/alphawan/internal/alphawan/planner"
 	"github.com/alphawan/alphawan/internal/baseline"
@@ -65,19 +66,10 @@ func testSolver(seed int64) evolve.Options {
 	}
 }
 
-// TestControllerReplansThroughOutage is the control loop's end-to-end
-// test: a gateway outage moves the view's epoch, the next tick replans,
-// the decision is adopted and pushed, and the loop goes quiet again
-// between transitions (epoch gating) — then replans once more when the
-// outage lifts.
-func TestControllerReplansThroughOutage(t *testing.T) {
-	n, op, plan, channels := plannedScenario(t, 3)
-	t0 := (n.Sim.Now()/des.Second + 2) * des.Second
-	gw0 := 0
-	fp := &faults.Plan{Episodes: []faults.Episode{{
-		Kind: faults.KindGatewayOutage, Gateway: &gw0,
-		StartS: float64(t0/des.Second) + 8, EndS: float64(t0/des.Second) + 20,
-	}}}
+// attachPlan injects the episodes into n, validated.
+func attachPlan(t *testing.T, n *sim.Network, eps ...faults.Episode) *faults.Injector {
+	t.Helper()
+	fp := &faults.Plan{Episodes: eps}
 	if err := fp.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -85,9 +77,23 @@ func TestControllerReplansThroughOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := new(View)
-	view.WatchFaults(inj)
-	ctrl, err := Attach(n, op, plan, view, Config{
+	return inj
+}
+
+// TestControllerReplansThroughOutage is the control loop's end-to-end
+// test: a gateway outage moves the injector's epoch, the next tick replans,
+// the decision is adopted and pushed, and the loop goes quiet again
+// between transitions (epoch gating) — then replans once more when the
+// outage lifts.
+func TestControllerReplansThroughOutage(t *testing.T) {
+	n, op, plan, channels := plannedScenario(t, 3)
+	t0 := (n.Sim.Now()/des.Second + 2) * des.Second
+	gw0 := 0
+	inj := attachPlan(t, n, faults.Episode{
+		Kind: faults.KindGatewayOutage, Gateway: &gw0,
+		StartS: float64(t0/des.Second) + 8, EndS: float64(t0/des.Second) + 20,
+	})
+	ctrl, err := Attach(n, op, plan, inj, Config{
 		Start: t0, Stop: t0 + 30*des.Second, Interval: 2 * des.Second,
 		Channels: channels,
 		Solver:   testSolver(101),
@@ -128,14 +134,14 @@ func TestControllerReplansThroughOutage(t *testing.T) {
 	}
 }
 
-// TestControllerNoFaultsNoReplans pins the quiet path: with no injector
-// watched the epoch never moves, so every tick is a no-op — no solver
+// TestControllerNoFaultsNoReplans pins the quiet path: with an empty
+// fault plan the epoch never moves, so every tick is a no-op — no solver
 // runs, no commands are pushed, no events fire.
 func TestControllerNoFaultsNoReplans(t *testing.T) {
 	n, op, plan, channels := plannedScenario(t, 4)
-	view := new(View)
+	inj := attachPlan(t, n)
 	t0 := (n.Sim.Now()/des.Second + 2) * des.Second
-	ctrl, err := Attach(n, op, plan, view, Config{
+	ctrl, err := Attach(n, op, plan, inj, Config{
 		Start: t0, Stop: t0 + 10*des.Second, Interval: des.Second,
 		Channels: channels,
 		Solver:   testSolver(55),
@@ -154,20 +160,80 @@ func TestControllerNoFaultsNoReplans(t *testing.T) {
 // TestAttachRejects pins the config guards.
 func TestAttachRejects(t *testing.T) {
 	n, op, plan, channels := plannedScenario(t, 5)
-	view := new(View)
+	inj := attachPlan(t, n)
 	good := Config{Start: 0, Stop: des.Second, Interval: des.Second, Channels: channels, Solver: testSolver(1)}
 
 	bad := good
 	bad.Interval = 0
-	if _, err := Attach(n, op, plan, view, bad); err == nil {
+	if _, err := Attach(n, op, plan, inj, bad); err == nil {
 		t.Error("Attach accepted a zero tick interval")
 	}
-	if _, err := Attach(n, op, &planner.Result{}, view, good); err == nil {
+	if _, err := Attach(n, op, &planner.Result{}, inj, good); err == nil {
 		t.Error("Attach accepted a plan without problem/assignment")
 	}
 	stripped := *plan
 	stripped.Devices = nil
-	if _, err := Attach(n, op, &stripped, view, good); err == nil {
+	if _, err := Attach(n, op, &stripped, inj, good); err == nil {
 		t.Error("Attach accepted a plan with no device mapping")
+	}
+}
+
+// TestDriftedProblemCapsDecoders: under a decoder-degrade episode the
+// drifted problem carries the injector's cap on the degraded gateway and
+// the chipset pool on the other, and shares the base problem's nodes
+// (nothing is down).
+func TestDriftedProblemCapsDecoders(t *testing.T) {
+	n, op, plan, channels := plannedScenario(t, 6)
+	t0 := (n.Sim.Now()/des.Second + 2) * des.Second
+	gw := op.Gateways[1].ID
+	inj := attachPlan(t, n, faults.Episode{
+		Kind: faults.KindDecoderDegrade, Gateway: &gw, Decoders: 3,
+		StartS: float64(t0 / des.Second), EndS: float64(t0/des.Second) + 10,
+	})
+	ctrl, err := Attach(n, op, plan, inj, Config{
+		Start: t0, Stop: t0 + des.Second, Interval: des.Second,
+		Channels: channels, Solver: testSolver(7),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Sim.RunUntil(t0 + 5*des.Second)
+	q := ctrl.driftedProblem()
+	if got := q.Gateways[1].Decoders; got != 3 {
+		t.Errorf("degraded gateway plans with %d decoders, want the cap 3", got)
+	}
+	if got, want := q.Gateways[0].Decoders, plan.Problem.Gateways[0].Decoders; got != want {
+		t.Errorf("healthy gateway plans with %d decoders, want %d", got, want)
+	}
+	if &q.Nodes[0] != &plan.Problem.Nodes[0] {
+		t.Error("no gateway is down, yet the drifted problem copied the nodes")
+	}
+}
+
+// TestPushRetunesGateway: a diff holding a gateway gene retunes that
+// gateway's radio, in place, to the assignment's channel set.
+func TestPushRetunesGateway(t *testing.T) {
+	n, op, plan, channels := plannedScenario(t, 7)
+	// An empty tick schedule: the test calls push itself.
+	ctrl, err := Attach(n, op, plan, attachPlan(t, n), Config{
+		Interval: des.Second, Channels: channels, Solver: testSolver(7),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := plan.Assignment.Clone()
+	a.GWChannels[0] = a.GWChannels[1]
+	ctrl.push(a, []cp.Gene{cp.GWGene(0)})
+	got := op.Gateways[0].Config().Channels
+	if len(got) != len(a.GWChannels[1]) {
+		t.Fatalf("gateway 0 has %d channels, want %d", len(got), len(a.GWChannels[1]))
+	}
+	for i, k := range a.GWChannels[1] {
+		if got[i] != channels[k] {
+			t.Errorf("gateway 0 channel %d = %+v, want %+v", i, got[i], channels[k])
+		}
+	}
+	if _, _, pushed := ctrl.Replans(); pushed != 1 {
+		t.Errorf("%d genes pushed, want 1", pushed)
 	}
 }

@@ -44,10 +44,10 @@ func randProblem(rng *rand.Rand) *cp.Problem {
 	return p
 }
 
-// drift degrades a copy of the problem the way the controller's view
-// does: some gateways lose decoders, some go down entirely (every node
-// loses reachability through them). The copy gets fresh NodeSpecs so the
-// original's memoized reachability is untouched.
+// drift degrades a copy of the problem the way the controller's
+// driftedProblem does: some gateways lose decoders, some go down
+// entirely (every node loses reachability through them). The copy gets
+// fresh NodeSpecs so the original's memoized reachability is untouched.
 func drift(rng *rand.Rand, p *cp.Problem) *cp.Problem {
 	q := &cp.Problem{Channels: p.Channels}
 	q.Gateways = make([]cp.GatewaySpec, len(p.Gateways))

@@ -36,8 +36,8 @@ func TestAdaptiveDeterminism(t *testing.T) {
 }
 
 // TestAdaptiveEmptyPlanIsNoOp pins the control loop's no-op contract:
-// with the fault plan scaled to zero (no episodes), a run with the view,
-// the controllers, and their tick schedule attached must be
+// with the fault plan scaled to zero (no episodes), a run with the
+// controllers and their tick schedule attached must be
 // byte-identical to the plain static run — same delivery totals, same
 // per-cause losses, zero replans. The epoch gate is what makes this
 // hold: no fault transitions, no epoch movement, no solver call, no RNG

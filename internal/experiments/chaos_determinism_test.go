@@ -19,9 +19,13 @@ import (
 // iteration — shows up here as a diff.
 func TestChaosTraceDeterminism(t *testing.T) {
 	const seed = 7
+	plan, err := faults.LoadPlan("../../examples/faultplans/demo.json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func() (string, string, faults.Stats, int, int, int) {
 		var trace, prog bytes.Buffer
-		out := runDemo(t, scenario.Demo{Seed: seed, Faults: faults.DemoPlan(), Trace: &trace, Progress: &prog})
+		out := runDemo(t, scenario.Demo{Seed: seed, Faults: plan, Trace: &trace, Progress: &prog})
 		if v := out.Invariants.Finish(); len(v) != 0 {
 			t.Fatalf("invariant violations under demo plan: %v", v)
 		}

@@ -14,7 +14,10 @@
 //
 // The Injector publishes FaultEvents on the event bus so observers (the
 // trace sink, run summaries, experiments) can attribute outcomes to the
-// faults active when they happened. Invariants (see Watch) is the paired
+// faults active when they happened. It is also the one record of what is
+// broken: a replanning controller reads Epoch, GatewayDown and
+// DecoderCap, and the invariant checker its episode windows, rather than
+// rebuilding either from the events. Invariants (see Watch) is the paired
 // conservation checker: it subscribes to the same topics the metrics
 // collector uses and asserts the laws that must survive any fault mix —
 // exactly one outcome per transmission, per-device FCnt monotonicity
@@ -134,6 +137,11 @@ func (e *Episode) validate() error {
 	if e.StartS < 0 {
 		return fmt.Errorf("window starts before t=0")
 	}
+	// The DES clock counts int64 microseconds: an end past its range
+	// would wrap and close the window before it opens.
+	if e.EndS*float64(des.Second) >= 1<<63 {
+		return fmt.Errorf("window end %gs is past the DES clock's range", e.EndS)
+	}
 	for _, p := range []struct {
 		name string
 		v    float64
@@ -243,23 +251,4 @@ func (p *Plan) Scale(f float64) *Plan {
 		panic(err)
 	}
 	return out
-}
-
-// DemoPlan is the canonical chaos schedule used by the built-in demo
-// scenario (alphawan-sim -faults with examples/faultplans/demo.json
-// mirrors it), sized for the 20-second two-operator trace demo: a
-// mid-run outage of gateway 0, a decoder-pool degradation on gateway 1,
-// a lossy duplicate-and-reorder backhaul, and flaky downlink scheduling.
-func DemoPlan() *Plan {
-	gw0, gw1 := 0, 1
-	p := &Plan{Episodes: []Episode{
-		{Kind: KindGatewayOutage, Gateway: &gw0, StartS: 6, EndS: 9},
-		{Kind: KindDecoderDegrade, Gateway: &gw1, StartS: 4, EndS: 14, Decoders: 4},
-		{Kind: KindBackhaul, StartS: 2, EndS: 18, Drop: 0.10, Duplicate: 0.10, Reorder: 0.10, DelayMS: 40, JitterMS: 20},
-		{Kind: KindDownlink, StartS: 0, EndS: 20, Fail: 0.25, DelayMS: 300, JitterMS: 100},
-	}}
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	return p
 }

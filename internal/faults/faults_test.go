@@ -34,6 +34,19 @@ func testNet(t *testing.T, seed int64, nodesPerOp int) *sim.Network {
 	return n
 }
 
+// demoPlan loads the example chaos schedule alphawan-sim's -faults runs:
+// an outage of gateway 0 over [6,9) s, gateway 1's decoder pool degraded
+// to 4 over [4,14) s, a lossy duplicate-and-reorder backhaul over
+// [2,18) s, and flaky downlink scheduling over [0,20) s.
+func demoPlan(t *testing.T) *Plan {
+	t.Helper()
+	p, err := LoadPlan("../../examples/faultplans/demo.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func runTraffic(n *sim.Network, window des.Time) {
 	for _, op := range n.Operators {
 		for _, nd := range op.Nodes {
@@ -106,7 +119,7 @@ func TestLoadPlan(t *testing.T) {
 }
 
 func TestScale(t *testing.T) {
-	base := DemoPlan()
+	base := demoPlan(t)
 	if got := base.Scale(0); !got.Empty() {
 		t.Errorf("Scale(0) should be empty, got %d episodes", len(got.Episodes))
 	}
@@ -155,7 +168,7 @@ func findKind(p *Plan, k Kind) *Episode {
 }
 
 func TestEpisodeString(t *testing.T) {
-	p := DemoPlan()
+	p := demoPlan(t)
 	s := p.Episodes[0].String()
 	if !strings.Contains(s, "ep1") || !strings.Contains(s, "gateway-outage") || !strings.Contains(s, "gw=0") {
 		t.Errorf("unexpected label %q", s)
@@ -468,7 +481,7 @@ func TestDownlinkDelay(t *testing.T) {
 func TestChaosDeterminism(t *testing.T) {
 	run := func() (Stats, int, int) {
 		n := testNet(t, 5, 10)
-		inj, err := Attach(n, DemoPlan())
+		inj, err := Attach(n, demoPlan(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -487,7 +500,8 @@ func TestChaosDeterminism(t *testing.T) {
 // begin and one end transition, in window order.
 func TestFaultEventsPublished(t *testing.T) {
 	n := testNet(t, 1, 4)
-	inj, err := Attach(n, DemoPlan())
+	p := demoPlan(t)
+	inj, err := Attach(n, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +532,7 @@ func TestFaultEventsPublished(t *testing.T) {
 	for _, tr := range seen {
 		counts[tr]++
 	}
-	for _, ep := range DemoPlan().Episodes {
+	for _, ep := range p.Episodes {
 		if counts[transition{ep.ID, true}] != 1 || counts[transition{ep.ID, false}] != 1 {
 			t.Errorf("episode %d transitions begin=%d end=%d, want 1/1",
 				ep.ID, counts[transition{ep.ID, true}], counts[transition{ep.ID, false}])
@@ -526,5 +540,52 @@ func TestFaultEventsPublished(t *testing.T) {
 	}
 	if len(inj.Active()) != 0 {
 		t.Error("episodes still active after the run")
+	}
+}
+
+// TestInjectorFaultState pins the fault state the replanning controller
+// reads against the demo plan's schedule: the epoch moves once per
+// outage or degrade transition (backhaul and downlink episodes are
+// invisible to the planner and must not move it), and the mid-run
+// answers match the active episodes and the radio's installed cap.
+func TestInjectorFaultState(t *testing.T) {
+	n := testNet(t, 6, 12)
+	inj, err := Attach(n, demoPlan(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inj.Epoch() != 0 {
+		t.Fatalf("epoch %d before the run", inj.Epoch())
+	}
+	type probe struct {
+		gw0Down bool
+		gw1Cap  int
+		limit   int
+	}
+	r := n.Operators[1].Gateways[0].Radio()
+	probes := map[des.Time]probe{}
+	for _, at := range []des.Time{5 * des.Second, 7 * des.Second, 16 * des.Second} {
+		at := at
+		n.Sim.At(at, func() {
+			probes[at] = probe{gw0Down: inj.GatewayDown(0), gw1Cap: inj.DecoderCap(1), limit: r.DecoderLimit()}
+		})
+	}
+	runTraffic(n, 20*des.Second)
+	full := r.Chipset().Decoders
+	want := map[des.Time]probe{
+		5 * des.Second:  {gw0Down: false, gw1Cap: 4, limit: 4},
+		7 * des.Second:  {gw0Down: true, gw1Cap: 4, limit: 4},
+		16 * des.Second: {gw0Down: false, gw1Cap: 0, limit: full},
+	}
+	for at, w := range want {
+		if probes[at] != w {
+			t.Errorf("at %v: state %+v, want %+v", at, probes[at], w)
+		}
+	}
+	if got := inj.Epoch(); got != 4 {
+		t.Errorf("epoch %d after the run, want 4", got)
+	}
+	if inj.GatewayDown(0) || inj.GatewayDown(1) || inj.DecoderCap(1) != 0 {
+		t.Error("fault state still set after every episode ended")
 	}
 }

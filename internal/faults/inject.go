@@ -50,17 +50,29 @@ type Injector struct {
 
 	gwByID map[int]*gateway.Gateway
 
-	// Active episode lists per mechanism, kept in episode-ID order so the
-	// "first matching episode wins" rule is deterministic under overlap.
-	activeBackhaul []*Episode
-	activeDownlink []*Episode
-	activeDegrade  []*Episode
+	// active holds the episodes inside their windows, in episode-ID order
+	// so the "first matching episode wins" rule is deterministic under
+	// overlap. The radios' decoder caps and the accessors below read it.
+	active []*Episode
+	// windows are the episode windows as observed on the DES clock, in
+	// opening order; the invariant checker's recovery check reads them.
+	windows []window
+	// epoch counts outage and degrade transitions, the only kinds that
+	// change what a channel plan can express.
+	epoch uint64
 
 	// wrappers are the installed per-operator backhaul wrappers, in
 	// operator order, so episode teardown can flush withheld datagrams.
 	wrappers []*opBackhaul
 
 	stats Stats
+}
+
+// window is one episode's window as the injector opened and closed it.
+type window struct {
+	ep          *Episode
+	open, close des.Time
+	closed      bool
 }
 
 // Attach wires a fault plan into a composed scenario. It must be called
@@ -125,23 +137,41 @@ func (inj *Injector) Stats() Stats { return inj.stats }
 // Active returns the episodes currently inside their windows, in
 // episode-ID order.
 func (inj *Injector) Active() []*Episode {
-	var out []*Episode
-	out = append(out, inj.activeDegrade...)
-	out = append(out, inj.activeBackhaul...)
-	out = append(out, inj.activeDownlink...)
-	for i := range inj.plan.Episodes {
-		ep := &inj.plan.Episodes[i]
-		if ep.Kind == KindGatewayOutage && inj.outageActive(ep) {
-			out = append(out, ep)
-		}
-	}
-	sortEpisodes(out)
-	return out
+	return append([]*Episode(nil), inj.active...)
 }
 
-func (inj *Injector) outageActive(ep *Episode) bool {
-	now := inj.net.Sim.Now()
-	return now >= ep.Start() && now < ep.End()
+// Epoch counts the outage and degrade transitions so far. A replanning
+// controller re-solves only when it moved since its last look; backhaul
+// and downlink episodes leave it alone, and an empty plan keeps it at 0.
+func (inj *Injector) Epoch() uint64 { return inj.epoch }
+
+// GatewayDown reports whether an active outage episode targets the
+// gateway.
+func (inj *Injector) GatewayDown(gwID int) bool {
+	return inj.activeOn(KindGatewayOutage, gwID) != nil
+}
+
+// DecoderCap returns the tightest decoder cap the active degrade episodes
+// put on the gateway, or 0 when none targets it.
+func (inj *Injector) DecoderCap(gwID int) int {
+	limit := 0
+	for _, ep := range inj.active {
+		if ep.Kind == KindDecoderDegrade && ep.Targets(gwID) && (limit == 0 || ep.Decoders < limit) {
+			limit = ep.Decoders
+		}
+	}
+	return limit
+}
+
+// activeOn returns the lowest-ID active episode of the kind that targets
+// the gateway, or nil.
+func (inj *Injector) activeOn(k Kind, gwID int) *Episode {
+	for _, ep := range inj.active {
+		if ep.Kind == k && ep.Targets(gwID) {
+			return ep
+		}
+	}
+	return nil
 }
 
 func sortEpisodes(eps []*Episode) {
@@ -172,84 +202,60 @@ func (inj *Injector) targetGateways(ep *Episode) []*gateway.Gateway {
 }
 
 func (inj *Injector) begin(ep *Episode) {
-	inj.Events.Publish(FaultEvent{Episode: ep, Active: true, At: inj.net.Sim.Now()})
+	now := inj.net.Sim.Now()
+	inj.Events.Publish(FaultEvent{Episode: ep, Active: true, At: now})
+	inj.active = append(inj.active, ep)
+	sortEpisodes(inj.active)
+	inj.windows = append(inj.windows, window{ep: ep, open: now})
 	switch ep.Kind {
 	case KindGatewayOutage:
+		inj.epoch++
 		for _, gw := range inj.targetGateways(ep) {
 			gw.SetFaultOutage(true, ep.ID)
 		}
 	case KindDecoderDegrade:
-		inj.activeDegrade = append(inj.activeDegrade, ep)
-		sortEpisodes(inj.activeDegrade)
+		inj.epoch++
 		inj.applyDecoderLimits()
-	case KindBackhaul:
-		inj.activeBackhaul = append(inj.activeBackhaul, ep)
-		sortEpisodes(inj.activeBackhaul)
-	case KindDownlink:
-		inj.activeDownlink = append(inj.activeDownlink, ep)
-		sortEpisodes(inj.activeDownlink)
 	}
 }
 
 func (inj *Injector) end(ep *Episode) {
+	now := inj.net.Sim.Now()
+	for i, e := range inj.active {
+		if e == ep {
+			inj.active = append(inj.active[:i], inj.active[i+1:]...)
+			break
+		}
+	}
+	for i := range inj.windows {
+		if w := &inj.windows[i]; w.ep == ep {
+			w.close, w.closed = now, true
+		}
+	}
 	switch ep.Kind {
 	case KindGatewayOutage:
+		inj.epoch++
 		for _, gw := range inj.targetGateways(ep) {
 			gw.SetFaultOutage(false, 0)
 		}
 	case KindDecoderDegrade:
-		inj.activeDegrade = removeEpisode(inj.activeDegrade, ep)
+		inj.epoch++
 		inj.applyDecoderLimits()
 	case KindBackhaul:
-		inj.activeBackhaul = removeEpisode(inj.activeBackhaul, ep)
 		inj.flushHeld()
-	case KindDownlink:
-		inj.activeDownlink = removeEpisode(inj.activeDownlink, ep)
 	}
-	inj.Events.Publish(FaultEvent{Episode: ep, Active: false, At: inj.net.Sim.Now()})
+	inj.Events.Publish(FaultEvent{Episode: ep, Active: false, At: now})
 }
 
-func removeEpisode(eps []*Episode, ep *Episode) []*Episode {
-	out := eps[:0]
-	for _, e := range eps {
-		if e != ep {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// applyDecoderLimits recomputes every gateway's decoder cap from the
-// currently active degrade episodes: the tightest cap among episodes
-// targeting the gateway wins; with none active, the cap is lifted.
-// In-flight decodes always drain — the radio only enforces the limit on
-// new lock-ons.
+// applyDecoderLimits installs every gateway's DecoderCap on its radio;
+// with no degrade episode active, the cap is lifted. In-flight decodes
+// always drain — the radio only enforces the limit on new lock-ons.
 func (inj *Injector) applyDecoderLimits() {
 	for _, op := range inj.net.Operators {
 		for _, gw := range op.Gateways {
-			limit := 0
-			for _, ep := range inj.activeDegrade {
-				if !ep.Targets(gw.ID) {
-					continue
-				}
-				if limit == 0 || ep.Decoders < limit {
-					limit = ep.Decoders
-				}
-			}
-			gw.Radio().SetDecoderLimit(limit)
+			gw.Radio().SetDecoderLimit(inj.DecoderCap(gw.ID))
 		}
 	}
-}
-
-// backhaulEpisodeFor returns the lowest-ID active backhaul episode
-// targeting the gateway, or nil.
-func (inj *Injector) backhaulEpisodeFor(gw *gateway.Gateway) *Episode {
-	for _, ep := range inj.activeBackhaul {
-		if ep.Targets(gw.ID) {
-			return ep
-		}
-	}
-	return nil
 }
 
 // delay draws the episode's latency: DelayMS plus uniform [0, JitterMS).
@@ -281,7 +287,7 @@ type opBackhaul struct {
 // seeded coins in a fixed order (drop, reorder, duplicate, jitter) so
 // the draw sequence — and with it the whole run — is reproducible.
 func (w *opBackhaul) deliver(gw *gateway.Gateway, raw []byte, meta netserver.UplinkMeta) {
-	ep := w.inj.backhaulEpisodeFor(gw)
+	ep := w.inj.activeOn(KindBackhaul, gw.ID)
 	if ep == nil {
 		w.next(gw, raw, meta)
 		return
@@ -336,7 +342,7 @@ func (w *opBackhaul) forward(ep *Episode, gw *gateway.Gateway, raw []byte, meta 
 // an episode window closes.
 func (inj *Injector) flushHeld() {
 	for _, w := range inj.wrappers {
-		if h := w.held; h != nil && inj.backhaulEpisodeFor(h.gw) == nil {
+		if h := w.held; h != nil && inj.activeOn(KindBackhaul, h.gw.ID) == nil {
 			w.held = nil
 			w.next(h.gw, h.raw, h.meta)
 		}
@@ -347,8 +353,11 @@ func (inj *Injector) flushHeld() {
 // episodes fail a command batch outright or apply it late.
 func (inj *Injector) deliverCommand(next sim.CommandDelivery, c netserver.Command) {
 	var ep *Episode
-	if len(inj.activeDownlink) > 0 {
-		ep = inj.activeDownlink[0]
+	for _, e := range inj.active {
+		if e.Kind == KindDownlink {
+			ep = e
+			break
+		}
 	}
 	if ep == nil {
 		next(c)

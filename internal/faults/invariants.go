@@ -68,9 +68,9 @@ type Invariants struct {
 	delivered  map[int64]int
 	lastBucket int64
 
-	// spans records outage/degrade episode windows as observed on the
-	// injector's event stream.
-	spans []span
+	// inj is the injector whose episode windows the recovery check
+	// measures; nil skips the check.
+	inj *Injector
 
 	// swapTracked holds the ids of transmissions that were in flight at
 	// the most recent plan swap (check 5), each mapped to how many
@@ -83,13 +83,6 @@ type Invariants struct {
 type devKey struct {
 	op   medium.NetworkID
 	addr frame.DevAddr
-}
-
-type span struct {
-	ep    *Episode
-	start des.Time
-	end   des.Time
-	ended bool
 }
 
 // Watch subscribes an invariant checker to a composed scenario. Call
@@ -120,25 +113,9 @@ func Watch(n *sim.Network) *Invariants {
 	return v
 }
 
-// WatchInjector records the injector's episode transitions so Finish can
-// run the bounded-recovery check against actual episode windows.
-func (v *Invariants) WatchInjector(inj *Injector) {
-	inj.Events.Subscribe(func(e FaultEvent) {
-		if e.Episode.Kind != KindGatewayOutage && e.Episode.Kind != KindDecoderDegrade {
-			return
-		}
-		if e.Active {
-			v.spans = append(v.spans, span{ep: e.Episode, start: e.At})
-			return
-		}
-		for i := range v.spans {
-			if v.spans[i].ep == e.Episode && !v.spans[i].ended {
-				v.spans[i].end, v.spans[i].ended = e.At, true
-				return
-			}
-		}
-	})
-}
+// WatchInjector points the bounded-recovery check at the injector's
+// record of episode windows.
+func (v *Invariants) WatchInjector(inj *Injector) { v.inj = inj }
 
 func (v *Invariants) violate(format string, args ...any) {
 	if len(v.violations) >= v.MaxViolations {
@@ -277,18 +254,21 @@ func (v *Invariants) Finish() []string {
 	return v.violations
 }
 
-// checkRecovery compares delivery throughput before each episode with
-// throughput after its recovery allowance. Episodes too close to the run
-// boundaries to measure either side are skipped, as is the check
-// entirely when the baseline is too thin to be meaningful (<1 delivery
-// per bucket on average).
+// checkRecovery compares delivery throughput before each closed outage
+// or degrade window with throughput after its recovery allowance.
+// Episodes too close to the run boundaries to measure either side are
+// skipped, as is the check entirely when the baseline is too thin to be
+// meaningful (<1 delivery per bucket on average).
 func (v *Invariants) checkRecovery(now des.Time) {
+	if v.inj == nil {
+		return
+	}
 	w := v.RecoveryWindow
-	for _, s := range v.spans {
-		if !s.ended {
+	for _, s := range v.inj.windows {
+		if !s.closed || (s.ep.Kind != KindGatewayOutage && s.ep.Kind != KindDecoderDegrade) {
 			continue
 		}
-		preHi := int64(s.start / w) // bucket containing the start, excluded
+		preHi := int64(s.open / w) // bucket containing the start, excluded
 		preLo := preHi - 3
 		if preLo < 0 {
 			preLo = 0
@@ -301,7 +281,7 @@ func (v *Invariants) checkRecovery(now des.Time) {
 		// delivery — traffic generators usually stop before the drain
 		// time ends, and silence after the whole workload finished is not
 		// a recovery failure.
-		postLo := int64(s.end/w) + 2
+		postLo := int64(s.close/w) + 2
 		postHi := postLo + 3
 		if postHi*int64(w) > int64(now) {
 			postHi = int64(now) / int64(w)

@@ -153,7 +153,8 @@ func TestRecoveryCheck(t *testing.T) {
 		inv.delivered[b] = 1
 	}
 	inv.lastBucket = 12
-	inv.spans = append(inv.spans, span{ep: ep, start: des.Time(20) * des.Second, end: des.Time(25) * des.Second, ended: true})
+	closed := window{ep: ep, open: 20 * des.Second, close: 25 * des.Second, closed: true}
+	inv.WatchInjector(&Injector{windows: []window{closed}})
 	inv.checkRecovery(13 * w)
 	v := strings.Join(inv.Violations(), "\n")
 	if !strings.Contains(v, "did not recover") {
@@ -169,7 +170,7 @@ func TestRecoveryCheck(t *testing.T) {
 		inv2.delivered[b] = 9
 	}
 	inv2.lastBucket = 12
-	inv2.spans = append(inv2.spans, span{ep: ep, start: 20 * des.Second, end: 25 * des.Second, ended: true})
+	inv2.WatchInjector(&Injector{windows: []window{closed}})
 	inv2.checkRecovery(13 * w)
 	if v := inv2.Violations(); len(v) != 0 {
 		t.Errorf("recovered throughput flagged: %v", v)
@@ -177,7 +178,7 @@ func TestRecoveryCheck(t *testing.T) {
 
 	// An episode that never ended is skipped.
 	inv3 := Watch(testNet(t, 3, 2))
-	inv3.spans = append(inv3.spans, span{ep: ep, start: 20 * des.Second})
+	inv3.WatchInjector(&Injector{windows: []window{{ep: ep, open: 20 * des.Second}}})
 	inv3.checkRecovery(13 * w)
 	if v := inv3.Violations(); len(v) != 0 {
 		t.Errorf("open episode flagged: %v", v)

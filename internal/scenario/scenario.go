@@ -125,18 +125,16 @@ func ReplanSolver(seed int64) evolve.Options {
 }
 
 // CloseLoop attaches one replanning controller per operator, all reading
-// the injector's fault state through one shared view, and reports every
-// adopted plan swap to the invariant checker. plans aligns with
-// n.Operators. cfg.Solver.Seed is the run's seed; each operator's
-// controller gets its own stream derived from it.
+// the injector's fault state, and reports every adopted plan swap to the
+// invariant checker. plans aligns with n.Operators. cfg.Solver.Seed is
+// the run's seed; each operator's controller gets its own stream derived
+// from it.
 func CloseLoop(n *sim.Network, plans []*planner.Result, inj *faults.Injector, inv *faults.Invariants, cfg adaptive.Config) ([]*adaptive.Controller, error) {
-	view := new(adaptive.View)
-	view.WatchFaults(inj)
 	seed := cfg.Solver.Seed
 	ctrls := make([]*adaptive.Controller, len(n.Operators))
 	for i, op := range n.Operators {
 		cfg.Solver.Seed = seed + 7919*int64(i+1)
-		ctrl, err := adaptive.Attach(n, op, plans[i], view, cfg)
+		ctrl, err := adaptive.Attach(n, op, plans[i], inj, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -9,11 +9,13 @@ import (
 	"github.com/alphawan/alphawan/internal/mac"
 )
 
-// closedLoopPlan is the CLI's worked example: an outage of gateway 0 and
-// a decoder degrade on gateway 3, relative to traffic start.
-func closedLoopPlan(t *testing.T) *faults.Plan {
+// examplePlan loads one of the CLI's worked examples: demo.json (a
+// gateway outage, a decoder degrade, a lossy backhaul and flaky
+// downlinks) or adaptive.json (an outage of gateway 0 and a decoder
+// degrade on gateway 3, relative to traffic start).
+func examplePlan(t *testing.T, name string) *faults.Plan {
 	t.Helper()
-	p, err := faults.LoadPlan("../../examples/faultplans/adaptive.json")
+	p, err := faults.LoadPlan("../../examples/faultplans/" + name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +31,7 @@ func TestDemoFieldsAreOrthogonal(t *testing.T) {
 	run := func(kind mac.Kind) (string, string) {
 		var trace, prog bytes.Buffer
 		out, err := Demo{
-			Seed: 1, MAC: kind, Faults: closedLoopPlan(t), ReplanInterval: 3 * des.Second,
+			Seed: 1, MAC: kind, Faults: examplePlan(t, "adaptive.json"), ReplanInterval: 3 * des.Second,
 			Trace: &trace, Progress: &prog,
 		}.Run()
 		if err != nil {
@@ -75,7 +77,7 @@ func TestDemoNilWhereNotAskedFor(t *testing.T) {
 	if out.Net == nil || out.Tracer != nil || out.Injector != nil || out.Invariants != nil || out.Controllers != nil {
 		t.Errorf("plain run outcome: %+v", out)
 	}
-	out, err = Demo{Seed: 1, Faults: faults.DemoPlan()}.Run()
+	out, err = Demo{Seed: 1, Faults: examplePlan(t, "demo.json")}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
