@@ -92,10 +92,10 @@ func solveOpts(seed int64) evolve.Options {
 // over seeds: for every random problem and random drift of it,
 //
 //  1. the adopted plan always validates against the drifted problem;
-//  2. the adopted plan is never worse than the incumbent on the Scorer
-//     objective priced against the triggering snapshot;
-//  3. the decision's costs — computed as an incremental Rescore of the
-//     diff over the incumbent — bit-match a full from-scratch
+//  2. the adopted plan is never worse than the incumbent on the
+//     Evaluate objective priced against the triggering snapshot;
+//  3. the decision's costs — the incumbent's priced by Replan, the
+//     candidate's as Solve returned it — bit-match a full from-scratch
 //     evaluation, extending the solver's differential oracle to the
 //     replan path (Evaluate itself is pinned to the reference
 //     implementation by the cp package's own differential tests).
@@ -118,7 +118,7 @@ func TestReplanProperties(t *testing.T) {
 			t.Errorf("seed %d: incumbent cost %+v != full evaluation %+v", seed, got, want)
 		}
 		if got, want := d.CandidateCost, q.Evaluate(d.Candidate); got != want {
-			t.Errorf("seed %d: candidate rescore %+v != full evaluation %+v", seed, got, want)
+			t.Errorf("seed %d: candidate cost %+v != full evaluation %+v", seed, got, want)
 		}
 		if d.Adopted {
 			adoptions++

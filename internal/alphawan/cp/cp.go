@@ -70,10 +70,10 @@ type NodeSpec struct {
 
 // Problem is one CP instance.
 //
-// A Problem is immutable once handed to the solver: Evaluate and the
-// Scorer memoize the node↔gateway reachability structure on first use
-// (see reachability), so Channels/Gateways/Nodes must not change after
-// the first Evaluate or NewScorer call.
+// A Problem is immutable once handed to the solver: Evaluate memoizes
+// the node↔gateway reachability structure on first use (see
+// reachability), so Channels/Gateways/Nodes must not change after the
+// first Evaluate call.
 type Problem struct {
 	Channels []region.Channel
 	Gateways []GatewaySpec
@@ -105,8 +105,6 @@ type reachIndex struct {
 	// traffic is a dense copy of NodeSpec.Traffic (the NodeSpec stride is
 	// cache-hostile on the load inner loop).
 	traffic []float64
-	// words is the per-row width of the Scorer's membership bitsets.
-	words int
 }
 
 // reachability builds (once) and returns the memoized index. Safe for
@@ -118,7 +116,6 @@ func (p *Problem) reachability() *reachIndex {
 			gwNodes: make([][]reachEntry, len(p.Gateways)),
 			nodeGWs: make([][]reachEntry, len(p.Nodes)),
 			traffic: make([]float64, len(p.Nodes)),
-			words:   (len(p.Nodes) + 63) / 64,
 		}
 		for i := range p.Nodes {
 			n := &p.Nodes[i]
@@ -172,6 +169,32 @@ func (a *Assignment) Clone() *Assignment {
 		c.GWChannels[j] = append([]int{}, chs...)
 	}
 	return c
+}
+
+// Gene identifies one decision variable of an Assignment: either a
+// node's (channel, ring) pair or a gateway's channel set. It is the
+// vocabulary of a plan diff — adaptive lists the genes a replan changes
+// and pushes them to the network in that order. Node genes are the node
+// index; gateway genes are the bitwise complement of the gateway index,
+// so the two ranges never collide and a Gene packs into one machine word.
+type Gene int32
+
+// NodeGene returns the gene for node i's (channel, ring) setting.
+func NodeGene(i int) Gene { return Gene(i) }
+
+// GWGene returns the gene for gateway j's channel set.
+func GWGene(j int) Gene { return Gene(^j) }
+
+// IsNode reports whether the gene is a node gene.
+func (g Gene) IsNode() bool { return g >= 0 }
+
+// Index returns the node index (node genes) or gateway index (gateway
+// genes) the gene addresses.
+func (g Gene) Index() int {
+	if g >= 0 {
+		return int(g)
+	}
+	return int(^g)
 }
 
 // Validate checks that the assignment is structurally sound for the
@@ -359,7 +382,7 @@ func (p *Problem) Evaluate(a *Assignment) Cost {
 // the channel bitmask of set as gateway j's operating channels, or
 // (0, true) when the set breaks the gateway's chain-count, fixed-size or
 // span constraint or names a channel outside the universe. Evaluate,
-// Validate, the Scorer and the test oracle all call it.
+// Validate and the test oracle all call it.
 func (p *Problem) operatedMask(j int, set []int) (mask uint64, bad bool) {
 	g := p.Gateways[j]
 	if len(set) == 0 || len(set) > g.MaxChannels ||

@@ -57,9 +57,9 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestAssignmentValidate pins the contract Evaluate and the Scorer rely
-// on and no longer check themselves: every gene inside the (channel,
-// ring) grid, every gateway set within its radio's constraints.
+// TestAssignmentValidate pins the contract Evaluate relies on and no
+// longer checks itself: every gene inside the (channel, ring) grid,
+// every gateway set within its radio's constraints.
 func TestAssignmentValidate(t *testing.T) {
 	wide := &Problem{Channels: make([]region.Channel, 65), Gateways: smallProblem(0).Gateways}
 	cases := []struct {

@@ -44,8 +44,8 @@ type Options struct {
 	// Patience stops early after this many generations without
 	// improvement (0 = run all generations).
 	Patience int
-	// ExactPolish prices the final hill-climb's candidate moves with the
-	// incremental Scorer — the real objective — instead of the legacy
+	// ExactPolish prices the final hill-climb's candidate moves with a
+	// full Evaluate — the real objective — instead of the legacy
 	// surrogate. It usually polishes deeper, but its decision trajectory
 	// differs from the surrogate's, so it stays opt-in: the default
 	// surrogate's byte-exact outputs are pinned by the experiment
@@ -82,10 +82,10 @@ func DefaultOptions(seed int64) Options {
 type SolveStats struct {
 	// FullEvals counts full Evaluate calls.
 	FullEvals int
-	// Rescores is always 0: the GA scores every child with a full
-	// Evaluate (a child's gene diff against its parent is never small
-	// enough for cp.Scorer's incremental replay to win). The field stays
-	// because the benchmark reads it.
+	// Rescores is always 0: every candidate is priced with a full
+	// Evaluate, and no incremental pricing path exists (a GA child
+	// rewrites about a quarter of its genes, so it is a new plan). The
+	// field stays because the benchmark reads it.
 	Rescores int
 	// EliteCarries counts elite individuals whose known cost was carried
 	// through a generation without re-evaluation.
@@ -334,16 +334,13 @@ func (s *solver) localSearch(a *cp.Assignment) {
 	}
 }
 
-// exactPolish is the hill-climb on the real objective: candidate moves
-// are priced by replaying them on the incremental Scorer and reading the
-// exact folded Cost, instead of the surrogate overload terms. Candidate
-// enumeration order matches localSearch; each probe is one SetNode +
-// flush, and the walk continues from the probe (no revert), so pricing a
-// node costs candidates+1 flushes.
+// exactPolish is the hill-climb on the real objective: each candidate
+// move is written into a and priced by a full Evaluate, instead of by
+// the surrogate overload terms. Candidate enumeration order matches
+// localSearch, and the walk goes from probe to probe without reverting
+// in between, so pricing a node costs one Evaluate per candidate.
 func (s *solver) exactPolish(a *cp.Assignment) {
-	sc := cp.NewScorer(s.p)
-	sc.Reset(a)
-	cur := sc.Cost().Total()
+	cur := s.p.Evaluate(a).Total()
 
 	const maxPasses = 4
 	for pass := 0; pass < maxPasses; pass++ {
@@ -365,17 +362,16 @@ func (s *solver) exactPolish(a *cp.Assignment) {
 						if ch == curCh && ring == curRing {
 							continue
 						}
-						sc.SetNode(i, ch, ring)
-						if cand := sc.Cost().Total(); cand < bestTotal-1e-12 {
+						a.NodeChannel[i], a.NodeRing[i] = ch, ring
+						if cand := s.p.Evaluate(a).Total(); cand < bestTotal-1e-12 {
 							bestTotal, bestCh, bestRing = cand, ch, ring
 						}
 					}
 				}
 			}
-			sc.SetNode(i, bestCh, bestRing)
-			cur = sc.Cost().Total()
+			a.NodeChannel[i], a.NodeRing[i] = bestCh, bestRing
+			cur = bestTotal
 			if bestCh != curCh || bestRing != curRing {
-				a.NodeChannel[i], a.NodeRing[i] = bestCh, bestRing
 				improved = true
 			}
 		}
@@ -672,14 +668,9 @@ func (s *solver) mutate(a *cp.Assignment, rate float64) {
 // fixing constraint violations cheaply instead of penalizing them away.
 func (s *solver) repair(a *cp.Assignment) {
 	nGW := len(s.p.Gateways)
-	var operated [64]bool
 	anyOperated := false
-	for k := range operated {
-		operated[k] = false
-	}
 	for j := 0; j < nGW; j++ {
-		for _, k := range a.GWChannels[j] {
-			operated[k] = true
+		if len(a.GWChannels[j]) > 0 {
 			anyOperated = true
 		}
 	}

@@ -311,7 +311,7 @@ func TestLocalSearchAllocBudget(t *testing.T) {
 	}
 }
 
-// TestExactPolish exercises the opt-in Scorer-priced hill-climb: it
+// TestExactPolish exercises the opt-in Evaluate-priced hill-climb: it
 // must stay deterministic, feasible, and report a cost consistent with
 // a fresh Evaluate of the returned assignment.
 func TestExactPolish(t *testing.T) {

@@ -142,6 +142,9 @@ func (e *Episode) validate() error {
 	if e.EndS*float64(des.Second) >= 1<<63 {
 		return fmt.Errorf("window end %gs is past the DES clock's range", e.EndS)
 	}
+	if e.End() <= e.Start() {
+		return fmt.Errorf("window [%g,%g) is shorter than the DES clock's microsecond", e.StartS, e.EndS)
+	}
 	for _, p := range []struct {
 		name string
 		v    float64
@@ -152,6 +155,11 @@ func (e *Episode) validate() error {
 	}
 	if e.DelayMS < 0 || e.JitterMS < 0 {
 		return fmt.Errorf("negative delay/jitter")
+	}
+	// A duplicate trails by two delay draws plus 1 ms; below 2^62
+	// microseconds per draw, that lag cannot wrap the int64 clock.
+	if (e.DelayMS+e.JitterMS)*float64(des.Millisecond) >= 1<<62 {
+		return fmt.Errorf("delay %g ms + jitter %g ms is past the DES clock's range", e.DelayMS, e.JitterMS)
 	}
 	return nil
 }
@@ -229,7 +237,7 @@ func (p *Plan) Scale(f float64) *Plan {
 		switch e.Kind {
 		case KindGatewayOutage, KindDecoderDegrade:
 			e.EndS = e.StartS + (e.EndS-e.StartS)*durScale
-			if e.EndS <= e.StartS {
+			if e.End() <= e.Start() {
 				continue
 			}
 		case KindBackhaul:

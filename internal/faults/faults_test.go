@@ -83,22 +83,63 @@ func TestParsePlanValid(t *testing.T) {
 
 func TestParsePlanRejects(t *testing.T) {
 	cases := map[string]string{
-		"unknown kind":   `{"episodes":[{"kind":"flood","start_s":0,"end_s":1}]}`,
-		"empty window":   `{"episodes":[{"kind":"gateway-outage","start_s":2,"end_s":2}]}`,
-		"negative start": `{"episodes":[{"kind":"gateway-outage","start_s":-1,"end_s":2}]}`,
-		"prob > 1":       `{"episodes":[{"kind":"backhaul","start_s":0,"end_s":1,"drop":1.5}]}`,
-		"neg delay":      `{"episodes":[{"kind":"downlink","start_s":0,"end_s":1,"delay_ms":-5}]}`,
-		"no decoders":    `{"episodes":[{"kind":"decoder-degrade","start_s":0,"end_s":1}]}`,
-		"no-op backhaul": `{"episodes":[{"kind":"backhaul","start_s":0,"end_s":1}]}`,
-		"no-op downlink": `{"episodes":[{"kind":"downlink","start_s":0,"end_s":1}]}`,
-		"unknown field":  `{"episodes":[{"kind":"gateway-outage","start_s":0,"end_s":1,"gw":3}]}`,
-		"not json":       `episodes:`,
+		"unknown kind":         `{"episodes":[{"kind":"flood","start_s":0,"end_s":1}]}`,
+		"empty window":         `{"episodes":[{"kind":"gateway-outage","start_s":2,"end_s":2}]}`,
+		"negative start":       `{"episodes":[{"kind":"gateway-outage","start_s":-1,"end_s":2}]}`,
+		"prob > 1":             `{"episodes":[{"kind":"backhaul","start_s":0,"end_s":1,"drop":1.5}]}`,
+		"neg delay":            `{"episodes":[{"kind":"downlink","start_s":0,"end_s":1,"delay_ms":-5}]}`,
+		"end past the clock":   `{"episodes":[{"kind":"gateway-outage","start_s":2,"end_s":1e13}]}`,
+		"delay past the clock": `{"episodes":[{"kind":"backhaul","start_s":2,"end_s":15,"delay_ms":1e16}]}`,
+		"sub-µs window":        `{"episodes":[{"kind":"gateway-outage","start_s":2,"end_s":2.0000001}]}`,
+		"no decoders":          `{"episodes":[{"kind":"decoder-degrade","start_s":0,"end_s":1}]}`,
+		"no-op backhaul":       `{"episodes":[{"kind":"backhaul","start_s":0,"end_s":1}]}`,
+		"no-op downlink":       `{"episodes":[{"kind":"downlink","start_s":0,"end_s":1}]}`,
+		"unknown field":        `{"episodes":[{"kind":"gateway-outage","start_s":0,"end_s":1,"gw":3}]}`,
+		"not json":             `episodes:`,
 	}
 	for name, in := range cases {
 		if _, err := ParsePlan([]byte(in)); err == nil {
 			t.Errorf("%s: expected parse error", name)
 		}
 	}
+}
+
+// FuzzParsePlan feeds ParsePlan arbitrary bytes, seeded with the example
+// plans and the two plans whose clock arithmetic used to wrap. A plan it
+// accepts must run on the DES clock: every window opens at or after t=0
+// and closes after it opens, and the longest delay an episode can draw —
+// and a duplicate's lag of two such draws plus 1 ms — is non-negative.
+func FuzzParsePlan(f *testing.F) {
+	files, err := filepath.Glob("../../examples/faultplans/*.json")
+	if err != nil || len(files) == 0 {
+		f.Fatalf("example plans: %v (%d files)", err, len(files))
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"episodes":[{"kind":"gateway-outage","start_s":2,"end_s":1e13}]}`))
+	f.Add([]byte(`{"episodes":[{"kind":"backhaul","start_s":2,"end_s":15,"delay_ms":1e16}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			return
+		}
+		for i := range p.Episodes {
+			e := &p.Episodes[i]
+			if e.Start() < 0 || e.End() <= e.Start() {
+				t.Errorf("%s: window [%d,%d) µs on the DES clock", e, e.Start(), e.End())
+			}
+			// Injector.delay's largest draw: the jitter's uniform factor at 1.
+			d := des.Time((e.DelayMS + e.JitterMS) * float64(des.Millisecond))
+			if d < 0 || d+des.Millisecond+d < 0 {
+				t.Errorf("%s: a maximal delay draw of %d µs wraps the clock", e, d)
+			}
+		}
+	})
 }
 
 func TestLoadPlan(t *testing.T) {
